@@ -26,7 +26,6 @@ from .exact import INFINITY, Congruence, crt_solve, is_prime, vp
 from .membership import (
     WitnessRationalFunction,
     is_integer_valued,
-    polynomial_closure,
     separating_polynomial,
     witness_rational_function,
 )

@@ -18,7 +18,8 @@ from typing import Optional
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError, ResourceLimitError
-from .exact import Congruence, Rat, rational_mod, vp
+from .exact import (Congruence, Rat, check_prime_arg, crt_solve, is_prime,
+                    prime_divisors, rational_mod, vp)
 from .padic import Ball, PAdicSet, canonicalize, member
 
 __all__ = [
@@ -147,11 +148,11 @@ def closure_in_zp(e: IntegerSet, p: int,
         raise ResourceLimitError(
             f"{count} residue classes at prime {p}", count, config.residue_cap)
     joint = math.lcm(count, L)
-    allowed = e.allowed_residues()
     balls = []
     for c in range(count):
         # does class c mod p^D contain infinitely many members?
-        if any(r % L in allowed for r in range(c, joint, count)):
+        if not all(any(ex.contains(r) for ex in e.excluded)
+                   for r in range(c, joint, count)):
             balls.append(Ball(p, c, depth))
     points = [Fraction(n) for n in e.extra]
     return canonicalize(PAdicSet(p, balls, points))
@@ -168,6 +169,7 @@ class AdelicCandidate:
     def of(cls, values: dict[int, Rat]) -> "AdelicCandidate":
         items = []
         for p in sorted(values):
+            check_prime_arg(p)
             x = Fraction(values[p])
             if vp(x, p) < 0:
                 raise PreconditionError(f"{x} is not {p}-integral")
@@ -208,8 +210,10 @@ def adelic_closure_member(e: IntegerSet, x: AdelicCandidate,
 
     Here one single integer must approximate every listed coordinate
     simultaneously to arbitrary depth.  The congruence constraints
-    stabilize one level past the p-part of the exclusion modulus, so a
-    finite CRT check decides the question; an exact rational match with a
+    stabilize one level past the p-part of the exclusion modulus L, so by
+    the Chinese remainder theorem the coordinates fold into one class
+    c mod M, and the candidate is a member iff some lift of c mod
+    lcm(M, L) avoids every exclusion.  An exact rational match with a
     finite-set element or a re-added extra also settles it.
     """
     # a member z of e equal to every listed coordinate works at all depths
@@ -221,21 +225,19 @@ def adelic_closure_member(e: IntegerSet, x: AdelicCandidate,
         return False
 
     L = e.exclusion_modulus
-    allowed = set(e.allowed_residues())
-    modulus = 1
     congruences = []
     for p, x_p in x.values:
-        depth = vp(L, p) + 1
-        congruences.append(Congruence(rational_mod(x_p, p ** depth), p ** depth))
-        modulus = math.lcm(modulus, p ** depth)
-    joint = math.lcm(modulus, L)
-    if joint > config.residue_cap:
+        modulus = p ** (vp(L, p) + 1)
+        congruences.append(Congruence(rational_mod(x_p, modulus), modulus))
+    # powers of distinct primes are coprime, so the fold always succeeds
+    c = crt_solve(congruences)
+    lifts = L // math.gcd(c.modulus, L)
+    if lifts > config.residue_cap:
         raise ResourceLimitError(
-            f"joint modulus {joint}", joint, config.residue_cap)
-    for r in range(joint):
-        if all(c.contains(r) for c in congruences) and r % L in allowed:
-            return True
-    return False
+            f"{lifts} lifts of the candidate class", lifts, config.residue_cap)
+    return not all(any(ex.contains(c.residue + c.modulus * t)
+                       for ex in e.excluded)
+                   for t in range(lifts))
 
 
 def _common_exact_value(x: AdelicCandidate) -> Optional[int]:
@@ -265,7 +267,7 @@ def closures_differ(e: IntegerSet,
         ps = []
         q = 2
         while len(ps) < 2:
-            if is_coprime_to_all(q, (a - b,)) and _is_small_prime(q):
+            if (a - b) % q and is_prime(q):
                 ps.append(q)
             q += 1
         cand = AdelicCandidate.of({ps[0]: a, ps[1]: b})
@@ -275,7 +277,7 @@ def closures_differ(e: IntegerSet,
         return None
 
     L = e.exclusion_modulus
-    primes = [p for p in range(2, L + 1) if L % p == 0 and _is_small_prime(p)]
+    primes = prime_divisors(L, config)
     for c in e.excluded:
         for r in range(c.residue, L, c.modulus):
             cand = AdelicCandidate.diagonal(r, primes)
@@ -284,12 +286,3 @@ def closures_differ(e: IntegerSet,
                 return cand
     return None
 
-
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(math.isqrt(n)) + 1))
-
-
-def is_coprime_to_all(q: int, values) -> bool:
-    return all(math.gcd(q, abs(v)) == 1 for v in values)

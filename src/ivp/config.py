@@ -22,9 +22,8 @@ class Config:
     prime_scan_bound: int = 10_000
     # deterministic primality is guaranteed below 2**primality_bits
     primality_bits: int = 64
-    # bounded search sizes for separating polynomials and escape witnesses
+    # bounded search size for separating polynomials
     search_degree_cap: int = 256
-    search_denominator_exp_cap: int = 512
 
     def with_overrides(self, **kwargs) -> "Config":
         return replace(self, **kwargs)

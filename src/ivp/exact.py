@@ -1,4 +1,4 @@
-"""Exact integer/rational helpers: p-adic valuations, CRT, primality.
+"""Exact integer/rational helpers: p-adic valuations, CRT, primes.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` (always
 reduced, positive denominator); valuations are plain ints except for the
@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 
 Rat = Union[int, Fraction]
 
@@ -190,12 +190,24 @@ def primes_below(bound: int) -> list[int]:
     return [i for i in range(bound) if sieve[i]]
 
 
-def iter_primes() -> Iterator[int]:
-    """Unbounded prime iterator (trial division against prior primes)."""
-    found: list[int] = []
-    n = 2
-    while True:
-        if all(n % q for q in found if q * q <= n):
-            found.append(n)
-            yield n
-        n += 1
+def prime_divisors(n: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
+    """Distinct prime factors of n != 0, ascending, by trial division up to
+    the configured scan bound plus a primality check on the cofactor."""
+    n = abs(n)
+    if n == 0:
+        raise PreconditionError("0 has every prime divisor")
+    out = []
+    d = 2
+    while d * d <= n and d <= config.prime_scan_bound:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if d * d > n or is_prime(n, config):
+            out.append(n)
+        else:
+            raise ResourceLimitError(
+                f"cannot factor cofactor {n}", n, config.prime_scan_bound)
+    return tuple(out)

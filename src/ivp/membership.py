@@ -1,10 +1,15 @@
 """Integer-valued polynomials on representable p-adic sets.
 
-Membership of f = g/d on a set S in Z_p only depends on g modulo p^m
-where m = vp(d), so every query reduces to finitely many exact residue
-checks even when S has infinite components.  The same depth-m reasoning
-yields closure invariance: a polynomial is integer valued on S iff it is
-on the topological closure of S.
+Integer-valuedness on a ball c + p^k Z_p is decided by the Polya
+criterion: f is integral on the ball iff f(c + p^k Y) is integral on
+Z_p, which holds iff it is integral at Y = 0, 1, ..., deg f.  Those
+points c + p^k j form a p-ordering of the ball in closed form (Bhargava,
+J. reine angew. Math. 490, 1997).  With f = g/d and m = vp(d) the value
+also only depends on the argument mod p^m, so at most p^(m-k) of them
+are needed.  Either bound alone is exact, and the check is finite even
+when the set has infinite components.  It also shows closure invariance:
+a polynomial is integer valued on S iff it is on the topological closure
+of S.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from typing import Optional
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError, ResourceLimitError
 from .exact import INFINITY, Rat, is_finite, rational_mod, vp
-from .padic import PAdicSet, canonicalize, closure, member, some_elements
+from .padic import PAdicSet, canonicalize, closure, member
 from .polys import IrreduciblePoly, RatPoly, max_valuation
 
 __all__ = [
-    "is_integer_valued", "polynomial_closure", "separating_polynomial",
+    "is_integer_valued", "separating_polynomial",
     "WitnessRationalFunction", "witness_rational_function",
 ]
 
@@ -31,9 +36,11 @@ def is_integer_valued(f: RatPoly, s: PAdicSet,
     """Does f map every element of s into Z_p (p the set's prime)?
 
     True vacuously on the empty set.  With f = g/d and m = vp(d), the
-    value vp(f(x)) is >= 0 iff g(x) = 0 mod p^m, and g(x) mod p^m only
-    depends on x mod p^m; balls enumerate residues at depth m, sequences
-    check finitely many early elements before their residues stabilize.
+    value vp(f(x)) is >= 0 iff g(x) = 0 mod p^m.  A ball of depth k is
+    checked at its points c + p^k j for j < min(deg f + 1, p^(m-k)): the
+    first deg f + 1 of them decide it by the Polya criterion, and the
+    first p^(m-k) are all its residues mod p^m.  Sequences check finitely
+    many early elements before their residues stabilize.
     """
     p = s.p
     m = vp(f.denominator, p)
@@ -47,18 +54,10 @@ def is_integer_valued(f: RatPoly, s: PAdicSet,
         return vp(g.eval_at(x), p) >= m
 
     for ball in s.balls:
-        if ball.depth >= m:
-            if not num_ok(ball.center):
-                return False
-            continue
-        count = p ** (m - ball.depth)
-        if count > config.residue_cap:
-            raise ResourceLimitError(
-                f"membership check needs {count} residues",
-                count, config.residue_cap)
         step = p ** ball.depth
-        for t in range(count):
-            if not num_ok((ball.center + t * step) % modulus):
+        count = min(f.degree + 1, p ** max(m - ball.depth, 0))
+        for j in range(count):
+            if not num_ok((ball.center + j * step) % modulus):
                 return False
     for x in s.points:
         if not num_ok(x):
@@ -72,14 +71,6 @@ def is_integer_valued(f: RatPoly, s: PAdicSet,
             if not num_ok(seq.element(n)):
                 return False
     return True
-
-
-def polynomial_closure(e: PAdicSet, config: Config = DEFAULT_CONFIG) -> PAdicSet:
-    """Largest set on which every f integer-valued on e stays integer valued.
-
-    For subsets of Z_p this is exactly the topological closure.
-    """
-    return closure(e)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +202,7 @@ def separating_polynomial(e: PAdicSet, alpha: Rat,
             "separator search exceeded the degree cap",
             config.search_degree_cap, config.search_degree_cap)
 
-    try:
-        valid = is_integer_valued(result, f_closed, config)
-    except ResourceLimitError:
-        # the full residue table is too large; the construction is exact,
-        # so fall back to spot checks on concrete elements
-        valid = all(vp(result.eval_at(x), p) >= 0
-                    for x in some_elements(f_closed))
-    if not valid:
+    if not is_integer_valued(result, f_closed, config):
         raise AssertionError("separator failed validation on the set")
     if vp(result.eval_at(alpha), p) >= 0:
         raise AssertionError("separator failed validation at alpha")

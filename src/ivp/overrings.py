@@ -24,7 +24,8 @@ from typing import Optional
 from .adelic import IntegerSet, closure_in_zp
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError, ResourceLimitError, UnsupportedComparisonError
-from .exact import Rat, check_prime_arg, is_finite, iter_primes, vp
+from .exact import (Rat, check_prime_arg, is_finite, is_prime, prime_divisors,
+                    vp)
 from .membership import is_integer_valued, witness_rational_function, WitnessRationalFunction
 from .padic import (Ball, DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
                     canonicalize, closure, empty_set, full_set, instantiate,
@@ -116,20 +117,14 @@ def normalize_rule(rule: DefaultRule,
     if e.is_finite():
         return EMPTY_RULE if not e.finite_elements() else rule
     if all(instantiate(rule, p, config) == full_set(p)
-           for p in _intset_special_primes(e)):
+           for p in _intset_special_primes(e, config)):
         return FULL_RULE
     return rule
 
 
-def _intset_special_primes(e: IntegerSet) -> tuple[int, ...]:
+def _intset_special_primes(e: IntegerSet, config: Config) -> tuple[int, ...]:
     """Primes where the closure of an infinite integer set can be proper."""
-    out = []
-    for p in iter_primes():
-        if p > e.exclusion_modulus:
-            break
-        if e.exclusion_modulus % p == 0:
-            out.append(p)
-    return tuple(out)
+    return prime_divisors(e.exclusion_modulus, config)
 
 
 def rule_subset(a: DefaultRule, b: DefaultRule,
@@ -153,7 +148,7 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
             elems = ea.finite_elements()
             if kb is RuleKind.UNITS_AND_SELF:
                 # n must be a unit at every prime except possibly n itself
-                return all(n in (1, -1) or _is_positive_prime(n) for n in elems)
+                return all(n in (1, -1) or (n > 1 and is_prime(n)) for n in elems)
             if kb is RuleKind.SINGLE_POWER:
                 return not elems
             if kb is RuleKind.FROM_INTEGER_SET:
@@ -164,7 +159,8 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
             eb: IntegerSet = b.integer_set
             if eb.is_finite():
                 return False
-            checks = set(_intset_special_primes(ea)) | set(_intset_special_primes(eb))
+            checks = (set(_intset_special_primes(ea, config))
+                      | set(_intset_special_primes(eb, config)))
             return all(is_subset(instantiate(a, p, config),
                                  instantiate(b, p, config), config)
                        for p in checks)
@@ -175,7 +171,7 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
         if eb.is_finite():
             # uncountable or unbounded prescriptions inside a finite set: no
             return False
-        checks = _intset_special_primes(eb)
+        checks = _intset_special_primes(eb, config)
         return all(is_subset(instantiate(a, p, config),
                              instantiate(b, p, config), config)
                    for p in checks)
@@ -193,11 +189,6 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
     raise UnsupportedComparisonError(f"rule pair {ka}, {kb}")
 
 
-def _is_positive_prime(n: int) -> bool:
-    from .exact import is_prime
-    return n > 1 and is_prime(n)
-
-
 def _intset_elements_in_rule_everywhere(elems, rule: DefaultRule,
                                         config: Config) -> bool:
     """Each integer must lie in the rule's set at every prime; away from
@@ -206,7 +197,7 @@ def _intset_elements_in_rule_everywhere(elems, rule: DefaultRule,
     if e.is_finite():
         allowed = set(e.finite_elements())
         return all(n in allowed for n in elems)
-    checks = _intset_special_primes(e)
+    checks = _intset_special_primes(e, config)
     return all(member(Fraction(n), instantiate(rule, p, config))
                for p in checks for n in elems)
 
@@ -326,30 +317,6 @@ def globalize(parts: dict[int, PAdicSet], default: DefaultRule = EMPTY_RULE,
     return RingSpec(parts, default, config)
 
 
-def _prime_divisors(n: int, config: Config) -> tuple[int, ...]:
-    """Prime factors of n != 0, by trial division plus a primality check
-    on the remaining cofactor."""
-    from .exact import is_prime
-    n = abs(n)
-    if n == 0:
-        raise PreconditionError("0 has every prime divisor")
-    out = []
-    d = 2
-    while d * d <= n and d <= config.prime_scan_bound:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if d * d > n or is_prime(n):
-            out.append(n)
-        else:
-            raise ResourceLimitError(
-                f"cannot factor cofactor {n}", n, config.prime_scan_bound)
-    return tuple(out)
-
-
 def ring_member(f: RatPoly, r: RingSpec,
                 config: Config = DEFAULT_CONFIG) -> bool:
     """Membership of a polynomial: integer valued on the local set at
@@ -357,7 +324,7 @@ def ring_member(f: RatPoly, r: RingSpec,
     if f.denominator == 1:
         return True
     return all(is_integer_valued(f, r.local_set(p, config), config)
-               for p in _prime_divisors(f.denominator, config))
+               for p in prime_divisors(f.denominator, config))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +506,7 @@ def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
         q0 = q.eval_int(0)
         if q0 == 0:
             return TriState.yes("vp at the pinned power is positive for every p")
-        tail_primes = [p for p in _prime_divisors(q0, config)
+        tail_primes = [p for p in prime_divisors(q0, config)
                        if p not in window]
     elif kind is RuleKind.FROM_INTEGER_SET:
         elems = rule.integer_set.finite_elements()
@@ -550,7 +517,7 @@ def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
                 return TriState.yes(f"root {z} pinned at every prime")
             prod *= qz
         if prod not in (1, -1):
-            tail_primes = [p for p in _prime_divisors(prod, config)
+            tail_primes = [p for p in prime_divisors(prod, config)
                            if p not in window]
     family = {p: s for p, s in window.items() if not s.is_empty()}
     for p in tail_primes:
@@ -697,7 +664,6 @@ def _in_minimal_family(spec: RingSpec, q: IrreduciblePoly,
 
 def _perfect_power(n: int, e: int) -> tuple[Optional[int], int]:
     """If n = b^e for a prime b, return (b, e)."""
-    from .exact import is_prime
     lo, hi = 2, n
     while lo <= hi:
         mid = (lo + hi) // 2

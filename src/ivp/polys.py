@@ -20,8 +20,8 @@ from typing import Iterable, Optional, Sequence
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError, ResourceLimitError
 from .exact import (INFINITY, Rat, Valuation, check_prime_arg, is_finite,
-                    primes_below, vp)
-from .padic import Ball, PAdicSet, canonicalize, member
+                    prime_divisors, primes_below, vp)
+from .padic import Ball, PAdicSet, canonicalize, closure, member
 
 
 @dataclass(frozen=True)
@@ -349,7 +349,7 @@ def _irreducible_mod(coeffs: Sequence[int], ell: int) -> bool:
     minus_x[1] = (minus_x[1] - 1) % ell
     if any(minus_x):
         return False                    # X^(ell^d) != X
-    for r in {f for f in _prime_factors(d)}:
+    for r in prime_divisors(d):
         partial = x_pow_ell_power(d // r)
         diff = partial[:]
         while len(diff) < 2:
@@ -359,19 +359,6 @@ def _irreducible_mod(coeffs: Sequence[int], ell: int) -> bool:
         if len(g) - 1 > 0:
             return False
     return True
-
-
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -632,7 +619,7 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
     s = canonicalize(s, config)
     if s.is_empty():
         raise PreconditionError("maximum valuation over the empty set")
-    if roots_in_set(q, closure_of(s), config):
+    if roots_in_set(q, closure(s), config):
         return INFINITY, None
     best: Optional[int] = None
     witness: Optional[Fraction] = None
@@ -681,11 +668,6 @@ def max_valuation(q: IrreduciblePoly, s: PAdicSet,
                   config: Config = DEFAULT_CONFIG) -> Valuation:
     """sup of vp(q(x)) over the set; INFINITY iff q has a root there."""
     return max_valuation_witness(q, s, config)[0]
-
-
-def closure_of(s: PAdicSet) -> PAdicSet:
-    from .padic import closure
-    return closure(s)
 
 
 # ---------------------------------------------------------------------------

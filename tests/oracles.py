@@ -197,7 +197,8 @@ def brute_simultaneous_hit(e, prescriptions: dict[int, int], depth: int) -> bool
     if e.is_finite():
         pool = e.finite_elements()
     else:
-        pool = intset_elements_in_period(e, joint)
+        # the period scan keeps only the extras inside the period
+        pool = intset_elements_in_period(e, joint) + list(e.extra)
     for n in pool:
         if all(n % p ** depth == x % p ** depth
                for p, x in prescriptions.items()):

@@ -139,6 +139,8 @@ def test_closure_sees_genuine_exclusion():
 def test_candidate_validation():
     with pytest.raises(PreconditionError):
         AdelicCandidate.of({2: Fraction(1, 2)})     # not 2-integral
+    with pytest.raises(PreconditionError):
+        AdelicCandidate.of({4: 1})                  # not a prime
     x = AdelicCandidate.diagonal(65, (2, 3))
     assert x.value_at(2) == 65 and x.value_at(3) == 65
 
@@ -185,6 +187,17 @@ def test_hat_matches_simultaneous_period_scan(e, a, b):
         e, {2: a, 3: b}, depth)
 
 
+@settings(max_examples=60, deadline=None)
+@given(integer_sets, st.integers(-100, 100))
+def test_hat_matches_period_scan_with_one_coordinate(e, a):
+    # the odd part of L carries no coordinate, so the candidate's CRT class
+    # has several lifts to check
+    x = AdelicCandidate.of({2: Fraction(a)})
+    depth = _separating_depth(e, 2, a)
+    assert adelic_closure_member(e, x) == brute_simultaneous_hit(
+        e, {2: a}, depth)
+
+
 # ---------------------------------------------------------------------------
 # witnesses that the closures differ
 # ---------------------------------------------------------------------------
@@ -194,6 +207,26 @@ def test_72_set_closures_differ_with_verified_witness():
     assert w is not None
     assert product_closure_member(THE_72_SET, w)
     assert not adelic_closure_member(THE_72_SET, w)
+
+
+# 720720 = 2^4 3^2 5 7 11 13: the joint moduli of the candidates below pass
+# the residue cap, while the CRT fold of each leaves 5005 and 1 lifts
+THE_720720_SET = IntegerSet.without_classes(Congruence(65, 720720))
+
+
+def test_hat_membership_on_a_large_modulus():
+    x = AdelicCandidate.of({2: 65, 3: 65})
+    assert adelic_closure_member(THE_720720_SET, x)
+
+
+def test_hat_rejects_the_excluded_diagonal_on_a_large_modulus():
+    x = AdelicCandidate.diagonal(65, (2, 3, 5, 7, 11, 13))
+    assert not adelic_closure_member(THE_720720_SET, x)
+
+
+def test_closures_differ_past_the_joint_residue_cap():
+    e = IntegerSet.without_classes(Congruence(65, 5040))
+    assert closures_differ(e) == AdelicCandidate.diagonal(65, (2, 3, 5, 7))
 
 
 def test_unobstructed_sets_report_no_difference():

@@ -239,16 +239,20 @@ def test_parse_errors_exit_1(capsys):
 
 
 def test_resource_cap_exit_1(capsys):
-    code, _, err = run(capsys, "--residue-cap", "2", "intval",
-                       "--poly", "(X^2 - X)/4", "--set", "full(2)")
+    code, _, err = run(capsys, "--residue-cap", "2", "adele-prod",
+                       "--intset", r"Z \ (1 mod 8)", "--candidate", "2: 1")
     assert code == 1 and "error" in err
+    # integer-valuedness evaluates deg f + 1 points and enumerates nothing
+    code, out, _ = run(capsys, "--residue-cap", "2", "intval",
+                       "--poly", "(X^2 - X)/4", "--set", "full(2)")
+    assert code == 0 and out.strip() == "no"
 
 
 def test_config_file(tmp_path, capsys):
     path = tmp_path / "limits.cfg"
     path.write_text("residue_cap = 2\n# comment\n")
-    code, _, err = run(capsys, "--config", str(path), "intval",
-                       "--poly", "(X^2 - X)/4", "--set", "full(2)")
+    code, _, err = run(capsys, "--config", str(path), "adele-prod",
+                       "--intset", r"Z \ (1 mod 8)", "--candidate", "2: 1")
     assert code == 1 and "error" in err
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n")

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ivp.config import DEFAULT_CONFIG
-from ivp.errors import PreconditionError
+from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import (
     INFINITY,
     Congruence,
     crt_solve,
     is_finite,
     is_prime,
-    iter_primes,
+    prime_divisors,
     primes_below,
     rational_mod,
     vp,
@@ -137,6 +137,9 @@ def test_is_prime_large_known_values():
     assert not is_prime(3825123056546413051)  # strong pseudoprime to few bases
 
 
-def test_iter_primes_prefix():
-    it = iter_primes()
-    assert [next(it) for _ in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+def test_prime_divisors():
+    assert prime_divisors(720720) == (2, 3, 5, 7, 11, 13)
+    assert prime_divisors(-(10 ** 9 + 7)) == (10 ** 9 + 7,)
+    # two factors past the scan bound leave a cofactor it cannot split
+    with pytest.raises(ResourceLimitError):
+        prime_divisors(10007 * 10009)

@@ -14,7 +14,6 @@ from ivp.exact import vp
 from ivp.membership import (
     WitnessRationalFunction,
     is_integer_valued,
-    polynomial_closure,
     separating_polynomial,
     witness_rational_function,
 )
@@ -26,7 +25,6 @@ from ivp.padic import (
     full_set,
     member,
     point_set,
-    sets_equal,
 )
 from ivp.polys import IrreduciblePoly, RatPoly
 
@@ -59,6 +57,17 @@ def test_integer_valued_frozen_cases():
     assert not is_integer_valued(quarter, odd)              # x^2+1 = 2 mod 4
 
 
+def test_integer_valued_past_the_residue_cap():
+    # C(X, 24) has 2-adic denominator 2^22: 25 points decide what 2^22
+    # residues would, so the default residue cap is never in play
+    c24 = RatPoly.constant(1)
+    for i in range(24):
+        c24 = c24 * P(Fraction(-i, i + 1), Fraction(1, i + 1))
+    assert is_integer_valued(c24, full_set(2))
+    assert not is_integer_valued(c24 + RatPoly.constant(Fraction(1, 2)),
+                                 full_set(2))
+
+
 def test_integer_valued_on_sequences():
     two_powers = PAdicSet(2, seqs=[SeqWithLimit(2, 0, 1)])
     f = P(0, Fraction(1, 2))                                # X/2
@@ -83,12 +92,6 @@ def test_closure_invariance_of_integer_valuedness(data):
     s = data.draw(padic_sets(p=p))
     f = data.draw(rational_polys(p=p))
     assert is_integer_valued(f, s) == is_integer_valued(f, closure(s))
-
-
-@settings(max_examples=60)
-@given(padic_sets())
-def test_polynomial_closure_is_topological_closure(s):
-    assert sets_equal(polynomial_closure(s), closure(s))
 
 
 # ---------------------------------------------------------------------------
