@@ -26,8 +26,6 @@ def _bool_result(flag: bool, **extra):
 def _tristate_result(ts: TriState, **extra):
     code = 2 if ts.is_unknown else 0
     payload = {"answer": ts.decision.value, "reason": ts.reason, **extra}
-    if ts.bound is not None:
-        payload["bound"] = ts.bound
     lines = [str(ts)]
     if ts.payload is not None:
         payload["witness"] = str(ts.payload)
@@ -46,7 +44,7 @@ def _cmd_member(args, config):
 
 def _cmd_closure(args, config):
     s = padic.closure(dsl.parse_set(args.set, config))
-    return 0, {"closure": dsl.format_set(s)}, [dsl.format_set(s)]
+    return 0, {"closure": str(s)}, [str(s)]
 
 
 def _cmd_subset(args, config):
@@ -149,8 +147,7 @@ def _cmd_ring_of(args, config):
     if res.escape is not None:
         payload["escape"] = str(res.escape)
         lines.append(f"escape: {res.escape}")
-    code = 2 if res.polynomial.is_unknown else 0
-    return code, payload, lines
+    return 0, payload, lines
 
 
 def _cmd_rep_eq(args, config):

@@ -33,10 +33,10 @@ from .padic import (Ball, DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
 from .polys import IrreduciblePoly, RatPoly
 
 __all__ = [
-    "parse_rational", "parse_set", "format_set", "parse_poly",
-    "parse_irreducible", "parse_intset", "format_intset", "parse_rule",
-    "format_rule", "parse_candidate", "parse_family", "parse_ring",
-    "format_ring", "parse_representation", "format_representation",
+    "parse_rational", "parse_set", "parse_poly", "parse_irreducible",
+    "parse_intset", "parse_rule", "parse_candidate", "parse_family",
+    "parse_ring", "format_ring", "parse_representation",
+    "format_representation",
 ]
 
 
@@ -109,10 +109,6 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
     if prime is None:
         raise ParseError("empty set expression; use empty(p)")
     return PAdicSet(prime, balls, points, seqs)
-
-
-def format_set(s: PAdicSet) -> str:
-    return str(s)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +255,6 @@ def _int_list(body: str) -> tuple[int, ...]:
     return tuple(int(x.strip()) for x in body.split(","))
 
 
-def format_intset(e: IntegerSet) -> str:
-    return str(e)
-
-
 # ---------------------------------------------------------------------------
 # default rules
 # ---------------------------------------------------------------------------
@@ -286,10 +278,6 @@ def parse_rule(text: str) -> DefaultRule:
     if name == "intset" and body is not None:
         return integer_set_rule(parse_intset(body))
     raise ParseError(f"unknown rule {text!r}")
-
-
-def format_rule(rule: DefaultRule) -> str:
-    return str(rule)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +384,9 @@ def parse_ring(text_or_obj, config: Config = DEFAULT_CONFIG) -> RingSpec:
 
 def format_ring(r: RingSpec) -> dict:
     return {
-        "exceptional": [{"p": p, "set": format_set(s)}
+        "exceptional": [{"p": p, "set": str(s)}
                         for p, s in r.exceptional],
-        "default": format_rule(r.default),
+        "default": str(r.default),
     }
 
 
@@ -418,8 +406,8 @@ def parse_representation(text_or_obj,
 
 def format_representation(rep: Representation) -> dict:
     return {
-        "unitary": [{"p": p, "set": format_set(s)} for p, s in rep.unitary],
-        "default": format_rule(rep.default),
+        "unitary": [{"p": p, "set": str(s)} for p, s in rep.unitary],
+        "default": str(rep.default),
         "nonunitary": [str(q) for q in rep.nonunitary],
         "all_min": rep.all_min,
     }

@@ -22,6 +22,11 @@ class ResourceLimitError(IvpError):
         self.cap = cap
 
 
+class InvariantError(IvpError):
+    """An internal invariant failed: a bug, reported instead of a wrong
+    answer."""
+
+
 class UnsupportedComparisonError(IvpError):
     """Two infinite tail rules cannot be compared by the rule table.
 

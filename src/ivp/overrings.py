@@ -15,6 +15,7 @@ without redundancy exists.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +24,8 @@ from typing import Optional
 
 from .adelic import IntegerSet, closure_in_zp
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError, ResourceLimitError, UnsupportedComparisonError
+from .errors import (InvariantError, PreconditionError, ResourceLimitError,
+                     UnsupportedComparisonError)
 from .exact import (Rat, check_prime_arg, is_finite, is_prime, prime_divisors,
                     vp)
 from .membership import is_integer_valued, witness_rational_function, WitnessRationalFunction
@@ -32,7 +34,7 @@ from .padic import (Ball, DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
                     is_closed, is_subset, isolated_points, member,
                     remove_isolated_point, sets_equal,
                     EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE)
-from .polys import IrreduciblePoly, RatPoly, rational_roots, roots_in_set
+from .polys import IrreduciblePoly, RatPoly, roots_in_set
 
 __all__ = [
     "Decision", "TriState", "RingSpec", "Representation", "RingOfResult",
@@ -57,7 +59,7 @@ class Decision(Enum):
 
 @dataclass(frozen=True)
 class TriState:
-    """A definite yes/no, or an honest unknown with the bound that was hit.
+    """A definite yes/no, or an honest unknown with its reason.
 
     payload carries op-specific evidence: a witness rational function for
     a "no" containment, an escaping polynomial, and so on.
@@ -65,21 +67,19 @@ class TriState:
 
     decision: Decision
     reason: str = ""
-    bound: Optional[int] = None
     payload: object = None
 
     @classmethod
     def yes(cls, reason: str = "", payload=None) -> "TriState":
-        return cls(Decision.YES, reason, None, payload)
+        return cls(Decision.YES, reason, payload)
 
     @classmethod
     def no(cls, reason: str = "", payload=None) -> "TriState":
-        return cls(Decision.NO, reason, None, payload)
+        return cls(Decision.NO, reason, payload)
 
     @classmethod
-    def unknown(cls, reason: str, bound: Optional[int] = None,
-                payload=None) -> "TriState":
-        return cls(Decision.UNKNOWN, reason, bound, payload)
+    def unknown(cls, reason: str, payload=None) -> "TriState":
+        return cls(Decision.UNKNOWN, reason, payload)
 
     @property
     def is_yes(self) -> bool:
@@ -409,68 +409,73 @@ def ring_of(rep: Representation, config: Config = DEFAULT_CONFIG) -> RingOfResul
     represented ring is exactly the polynomial ring of those sets.
 
     The unitary part alone always gives the polynomial ring of the
-    closures.  Listed denominator polynomials shrink it further unless
-    each of them is already forced; with a sparse default rule some
-    irreducible polynomial escapes and the ring is strictly smaller.
+    closures.  Listed denominator polynomials never shrink it, so the
+    answer is yes when the default rule forces every denominator or the
+    whole minimal family is listed (all_min).  Otherwise the default rule
+    is sparse and the answer is no: a constructed irreducible q escapes,
+    and the escape witness is 1/q.
     """
     spec = _closure_spec(rep, config)
-    poly, escape = _polynomiality(rep, spec, config)
-    return RingOfResult(spec, poly, escape)
+    poly = _polynomiality(rep, spec, config)
+    return RingOfResult(spec, poly, poly.payload)
 
 
 def _polynomiality(rep: Representation, spec: RingSpec,
-                   config: Config) -> tuple[TriState, Optional[WitnessRationalFunction]]:
+                   config: Config) -> TriState:
+    """Is the intersection described by rep, whose unitary part closes
+    onto spec, exactly the polynomial ring of spec's sets?  A no carries
+    the escape witness as its payload."""
     # listed denominator factors contain every polynomial, so they never
     # push the intersection below the polynomial ring; only an irreducible
     # *outside* the family can, by escaping every factor
     if rep.all_min:
-        return (TriState.yes("includes the full minimal denominator family"), None)
+        return TriState.yes("includes the full minimal denominator family")
     kind = spec.default.kind
     if kind in (RuleKind.FULL, RuleKind.UNITS_AND_SELF):
-        return (TriState.yes("default rule forces every denominator"), None)
+        return TriState.yes("default rule forces every denominator")
     if (kind is RuleKind.FROM_INTEGER_SET
             and not spec.default.integer_set.is_finite()):
-        return (TriState.yes("default rule forces every denominator"), None)
-    found = _escape_search(rep, spec, config)
-    if isinstance(found, TriState):
-        return (found, None)
-    q, witness = found
-    return (TriState.no(f"{q} is not represented and escapes via {witness}"),
-            witness)
+        return TriState.yes("default rule forces every denominator")
+    q = _escaping_polynomial(rep, spec, config)
+    forced = _unitary_forces_vq(spec, q, config)
+    if not forced.is_no:
+        raise InvariantError(
+            f"constructed unit polynomial {q} is forced: {forced}")
+    return TriState.no(f"{q} is not represented and escapes",
+                       payload=forced.payload)
 
 
-def _escape_search(rep: Representation, spec: RingSpec, config: Config):
-    """Find an irreducible polynomial outside the listed family with no
-    root in any local set and no divergent tail, together with its escape
-    witness; TriState.unknown when the search bound is exhausted."""
-    tried = 0
-    for q in _escape_candidates(config):
-        tried += 1
-        if tried > 200:
-            break
-        if rep.lists(q):
-            continue
-        forced = _unitary_forces_vq(spec, q, config)
-        if forced.is_no:
-            return (q, forced.payload)
-        if forced.is_unknown:
-            return forced
-    return TriState.unknown("no escaping polynomial found within bound", 200)
+def _escaping_polynomial(rep: Representation, spec: RingSpec,
+                         config: Config) -> IrreduciblePoly:
+    """An unlisted irreducible q that is a unit on every local set of a
+    spec with a sparse default rule, so that 1/q escapes.
 
-
-def _escape_candidates(config: Config):
-    for c in range(0, 40):
-        for sign in ((c,) if c == 0 else (c, -c)):
-            yield IrreduciblePoly.certify(RatPoly([-sign, 1]), config)
-    for d in range(2, 80):
-        r = math.isqrt(d)
-        if r * r == d:
-            continue
-        yield IrreduciblePoly.certify(RatPoly([-d, 0, 1]), config)
-
-
-def _tail_window_closures(spec: RingSpec, config: Config) -> dict[int, PAdicSet]:
-    return {p: spec.local_set(p, config) for p in spec.window()}
+    q = v * prod_{z in Z} (X - z) - 1, with v the product of the window
+    primes and Z the finite tail set, or {0} for an empty or power tail.
+    q = -1 mod every window prime, so vp(q) = 0 on Z_p there; q(z) = -1
+    on Z, and q(p^k) = q(0) = -1 mod p, so no tail prime contributes.
+    q is primitive, as q(z) = -1, and irreducible (Schur): if q = g*h
+    over Z with both factors nonconstant, then g(z) = -h(z) = +-1 at the
+    |Z| points while g + h has degree below |Z|, so g + h = 0 and
+    q = -g^2, which contradicts q's positive leading coefficient.  A
+    listed q is replaced by one with v multiplied by a new prime; rep
+    lists finitely many polynomials and each round makes v larger, so
+    the loop ends.
+    """
+    rule = spec.default
+    zs = (rule.integer_set.finite_elements()
+          if rule.kind is RuleKind.FROM_INTEGER_SET else (0,))
+    monic = RatPoly([1])
+    for z in zs:
+        monic = monic * RatPoly([-z, 1])
+    one = RatPoly([1])
+    v = math.prod(spec.window())
+    q = IrreduciblePoly.assert_irreducible(monic * v - one, config)
+    while rep.lists(q):
+        v *= next(ell for ell in itertools.count(2)
+                  if v % ell and is_prime(ell, config))
+        q = IrreduciblePoly.assert_irreducible(monic * v - one, config)
+    return q
 
 
 def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
@@ -483,7 +488,7 @@ def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
     finite suprema assemble an escaping rational function and the answer
     is no, with that witness attached.
     """
-    window = _tail_window_closures(spec, config)
+    window = dict(spec.exceptional)
     for p, f_p in window.items():
         if f_p.is_empty():
             continue
@@ -533,7 +538,10 @@ def representation_equals(rep: Representation, r: RingSpec,
     Preconditions (errors, not answers): every pinned value must lie in
     r's local set at its prime.  Given that, the representation matches r
     iff the pinned values are dense in each local set and no irreducible
-    polynomial outside the listed family escapes the intersection.
+    polynomial outside the listed family escapes the intersection.  The
+    answer is always yes or no: unless all_min is set, a sparse default
+    rule lets some q escape, and the no carries the witness 1/q, as in
+    ring_of.
     """
     window = sorted(set(rep.window()) | set(r.window()))
     closures = {}
@@ -553,22 +561,8 @@ def representation_equals(rep: Representation, r: RingSpec,
     if not rule_subset(r.default, rep.default, config):
         return TriState.no("pinned values not dense at almost all primes")
 
-    # density holds, so the unitary part closes onto exactly r's sets;
-    # listed factors contain every polynomial, so the only remaining
-    # question is whether some irreducible outside the family escapes
-    if rep.all_min:
-        return TriState.yes()
-    kind = r.default.kind
-    if kind in (RuleKind.FULL, RuleKind.UNITS_AND_SELF):
-        return TriState.yes()
-    if (kind is RuleKind.FROM_INTEGER_SET
-            and not r.default.integer_set.is_finite()):
-        return TriState.yes()
-    found = _escape_search(rep, r, config)
-    if isinstance(found, TriState):
-        return found
-    q, witness = found
-    return TriState.no(f"{q} escapes the representation", payload=witness)
+    # density holds, so the unitary part closes onto exactly r's sets
+    return _polynomiality(rep, r, config)
 
 
 def unitary_contains(rep: Representation, p: int, alpha: Rat,
@@ -649,32 +643,30 @@ def _in_minimal_family(spec: RingSpec, q: IrreduciblePoly,
             return True     # the only root 0 is never a pinned value
         return False        # unit roots at infinitely many primes
     if kind is RuleKind.SINGLE_POWER:
-        for root in rational_roots(q.coeffs):
-            if root.denominator != 1 or root <= 1:
-                continue
-            base, count = _perfect_power(int(root), rule.exponent)
-            if base is not None and base not in spec.window():
-                return False
-        return True
+        root = q.rational_root()
+        if root is None or root.denominator != 1 or root <= 1:
+            return True
+        base = _perfect_power(int(root), rule.exponent)
+        return base is None or base in spec.window()
     e: IntegerSet = rule.integer_set
     if e.is_finite():
         return all(q.eval_int(z) != 0 for z in e.finite_elements())
     return False            # full closures at infinitely many primes
 
 
-def _perfect_power(n: int, e: int) -> tuple[Optional[int], int]:
-    """If n = b^e for a prime b, return (b, e)."""
+def _perfect_power(n: int, e: int) -> Optional[int]:
+    """The prime b with n = b^e, if there is one."""
     lo, hi = 2, n
     while lo <= hi:
         mid = (lo + hi) // 2
         power = mid ** e
         if power == n:
-            return (mid, e) if is_prime(mid) else (None, e)
+            return mid if is_prime(mid) else None
         if power < n:
             lo = mid + 1
         else:
             hi = mid - 1
-    return None, e
+    return None
 
 
 # ---------------------------------------------------------------------------

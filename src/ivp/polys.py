@@ -2,10 +2,10 @@
 
 RatPoly keeps an integer coefficient vector plus a positive denominator
 with no common factor, so every evaluation is exact.  Root finding inside
-a representable p-adic set combines exhaustive rational-root enumeration
-(for the countable components) with a residue-lifting tree over balls
-whose branches terminate in Hensel certificates or provably root-free
-classes.
+a representable p-adic set combines the rational root that an
+irreducible polynomial has at degree 1 (for the countable components)
+with a residue-lifting tree over balls whose branches terminate in
+Hensel certificates or provably root-free classes.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ class RatPoly:
                 out[i] = out[i] * center + out[i - 1]
             out[0] = out[0] * center + c
         return RatPoly.from_fractions(out)
-
-    def scaled_arg(self, factor: Rat) -> "RatPoly":
-        """The polynomial h with h(X) = self(factor * X)."""
-        factor = Fraction(factor)
-        return RatPoly.from_fractions(
-            [c * factor ** i for i, c in enumerate(self.fraction_coeffs())])
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
         a, b = self.fraction_coeffs(), other.fraction_coeffs()
@@ -417,6 +411,13 @@ class IrreduciblePoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def rational_root(self) -> Optional[Fraction]:
+        """The only rational root an irreducible polynomial can have:
+        -a0/a1 at degree 1, none above."""
+        if self.degree != 1:
+            return None
+        return Fraction(-self.coeffs[0], self.coeffs[1])
+
     def eval_at(self, x: Rat) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -555,14 +556,16 @@ def roots_in_set(q: IrreduciblePoly, s: PAdicSet,
                  config: Config = DEFAULT_CONFIG) -> tuple[RootCertificate, ...]:
     """Every root of q inside the set, each with a checkable certificate.
 
-    Points, sequence elements and limits are rational, so roots there come
-    from exhaustive rational-root enumeration; balls are scanned by the
-    residue-lifting tree.  The returned list is complete.
+    Points, sequence elements and limits are rational, so roots there are
+    q's rational root, which irreducibility leaves only at degree 1; balls
+    are scanned by the residue-lifting tree.  The returned list is
+    complete.
     """
     p = s.p
     s = canonicalize(s, config)
     dq = _derivative_int(q)
-    q_rationals = [x for x in rational_roots(q.coeffs) if vp(x, p) >= 0]
+    root = q.rational_root()
+    q_rationals = [root] if root is not None and vp(root, p) >= 0 else []
     certs: list[RootCertificate] = []
     covered_rationals: set[Fraction] = set()
 

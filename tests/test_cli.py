@@ -122,6 +122,16 @@ def test_ring_of_power_tail(capsys):
     assert "escape" in payload
 
 
+def test_ring_of_ten_prime_window_decides(capsys):
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    rep = json.dumps({"unitary": {str(p): f"full({p})" for p in primes},
+                      "default": "empty"})
+    code, payload, _ = run_json(capsys, "ring-of", "--rep", rep)
+    assert code == 0
+    assert payload["polynomial"] == "no"
+    assert payload["escape"] == "1/(6469693230*X - 1)"
+
+
 def test_rep_eq(capsys):
     code, out, _ = run(capsys, "rep-eq", "--rep", REP_FULL2,
                        "--ring", RING_INT)

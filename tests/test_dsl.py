@@ -13,11 +13,8 @@ from conftest import padic_sets, rational_polys
 from ivp.adelic import IntegerSet
 from ivp.dsl import (
     ParseError,
-    format_intset,
     format_representation,
     format_ring,
-    format_rule,
-    format_set,
     parse_candidate,
     parse_family,
     parse_intset,
@@ -92,7 +89,7 @@ def test_parse_set_errors():
 
 @given(padic_sets())
 def test_set_round_trip(s):
-    assert parse_set(format_set(s)) == s
+    assert parse_set(str(s)) == s
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +148,7 @@ def test_intset_round_trip():
               IntegerSet.without_classes(Congruence(65, 72)),
               IntegerSet(excluded=(Congruence(1, 4), Congruence(0, 6)),
                          extra=(5, 9))):
-        assert parse_intset(format_intset(e)) == e
+        assert parse_intset(str(e)) == e
 
 
 def test_rule_round_trip():
@@ -159,7 +156,7 @@ def test_rule_round_trip():
              single_power_rule(3),
              integer_set_rule(IntegerSet.without_classes(Congruence(65, 72))))
     for rule in rules:
-        assert parse_rule(format_rule(rule)) == rule
+        assert parse_rule(str(rule)) == rule
     with pytest.raises(ParseError):
         parse_rule("sometimes")
 

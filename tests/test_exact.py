@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ivp.config import DEFAULT_CONFIG
 from ivp.errors import PreconditionError, ResourceLimitError
@@ -93,6 +93,9 @@ def brute_crt(congruences):
     return hits, joint
 
 
+# the oracle enumerates the joint modulus, up to about 2.7e5 residues,
+# which can pass hypothesis's default 200 ms deadline on a loaded host
+@settings(deadline=None)
 @given(st.lists(st.builds(Congruence, st.integers(0, 40),
                           st.integers(2, 40)), min_size=1, max_size=4))
 def test_crt_solve_matches_enumeration(congruences):

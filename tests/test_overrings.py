@@ -5,6 +5,7 @@ Containment between rings reverses containment between their sets, so
 most properties here are mirror images of the set-algebra tests.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from oracles import probe_elements
 from ivp.adelic import IntegerSet
 from ivp.config import DEFAULT_CONFIG
 from ivp.errors import PreconditionError
-from ivp.exact import Congruence, vp
+from ivp.exact import Congruence, primes_below, vp
 from ivp.membership import is_integer_valued
 from ivp.overrings import (
     Decision,
@@ -45,6 +46,7 @@ from ivp.padic import (
     EMPTY_RULE,
     FULL_RULE,
     PAdicSet,
+    RuleKind,
     SeqWithLimit,
     UNITS_AND_SELF_RULE,
     closure,
@@ -245,8 +247,74 @@ def test_ring_of_empty_tail_no_window_is_rationals():
     assert ring_equal(out.spec, RingSpec.rationals()).is_yes
     assert out.polynomial.is_no
     assert out.escape is not None
-    assert out.escape.q.coeffs == (0, 1)
+    assert out.escape.q.coeffs == (-1, 1)
     assert out.escape.exponents == ()
+
+
+@pytest.mark.parametrize("count", [10, 25])
+def test_ring_of_full_window_empty_tail_escapes_by_unit_polynomial(count):
+    # the product v of the window primes makes vX - 1 a unit on every
+    # Z_p in the window, so 1/(vX - 1) escapes with no numerator
+    window = primes_below(100)[:count]
+    out = ring_of(Representation({p: full_set(p) for p in window},
+                                 EMPTY_RULE))
+    assert out.polynomial.is_no
+    assert out.escape.q.coeffs == (-1, math.prod(window))
+    assert out.escape.exponents == ()
+
+
+def test_ring_of_finite_tail_escapes_by_schur_polynomial():
+    window = primes_below(100)[:12]
+    tail = (1, 5, 9)
+    out = ring_of(Representation({p: full_set(p) for p in window},
+                                 integer_set_rule(IntegerSet.finite(tail))))
+    assert out.polynomial.is_no
+    q = out.escape.q
+    v = math.prod(window)
+    expected = P(v) * P(-1, 1) * P(-5, 1) * P(-9, 1) - P(1)
+    assert q.coeffs == expected.coeffs
+    assert [q.eval_int(z) for z in tail] == [-1, -1, -1]
+    assert out.escape.exponents == ()
+
+
+def test_ring_of_skips_listed_unit_polynomials():
+    # 6X - 1 and 30X - 1 are listed, so v picks up 5 and then 7
+    rep = Representation({2: full_set(2), 3: full_set(3)}, EMPTY_RULE,
+                         nonunitary=[irr(-1, 6), irr(-1, 30)])
+    out = ring_of(rep)
+    assert out.polynomial.is_no
+    assert out.escape.q.coeffs == (-1, 210)
+    verdict = representation_equals(rep, out.spec)
+    assert verdict.is_no and verdict.payload.q.coeffs == (-1, 210)
+
+
+sparse_tails = st.one_of(
+    st.just(EMPTY_RULE),
+    st.builds(single_power_rule, st.integers(1, 3)),
+    st.builds(lambda zs: integer_set_rule(IntegerSet.finite(zs)),
+              st.lists(st.integers(-20, 20), min_size=1, max_size=4,
+                       unique=True)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_tail_escape_is_a_unit_everywhere(data):
+    window = data.draw(st.lists(st.sampled_from((2, 3, 5)), unique=True,
+                                max_size=3))
+    rep = Representation({p: data.draw(padic_sets(p)) for p in window},
+                         data.draw(sparse_tails))
+    out = ring_of(rep)
+    assert out.polynomial.is_no
+    q = out.escape.q
+    for p, s in out.spec.exceptional:
+        for x in probe_elements(s, 2):
+            assert vp(q.eval_at(x), p) == 0
+    rule = out.spec.default
+    tail = (rule.integer_set.finite_elements()
+            if rule.kind is RuleKind.FROM_INTEGER_SET else (0,))
+    assert all(q.eval_int(z) == -1 for z in tail)
+    verdict = representation_equals(rep, out.spec)
+    assert verdict.is_no and verdict.payload.q == q
 
 
 def test_representation_equals_frozen():
@@ -406,6 +474,6 @@ def test_simple_congruence_ring_witness_validates():
 def test_tristate_constructors_and_str():
     assert TriState.yes("because").decision is Decision.YES
     assert TriState.no().is_no
-    u = TriState.unknown("ran out", bound=100)
-    assert u.is_unknown and u.bound == 100
+    u = TriState.unknown("ran out")
+    assert u.is_unknown and u.reason == "ran out"
     assert "because" in str(TriState.yes("because"))
