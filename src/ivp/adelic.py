@@ -6,20 +6,22 @@ Each prime sees such a set through its closure in Z_p; the product of
 those closures can be strictly larger than the closure inside the
 restricted product, because congruence conditions at different primes
 interact through the Chinese remainder theorem.  Both membership
-questions are decidable and implemented exactly.
+questions, like finiteness, come down to whether one congruence class is
+covered by the excluded classes, which ``exact.covers`` decides without
+scanning the exclusion modulus.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError, ResourceLimitError
-from .exact import (Congruence, Rat, check_prime_arg, crt_solve, is_prime,
-                    prime_divisors, rational_mod, vp)
+from .exact import (Congruence, Rat, check_prime_arg, covers, crt_solve,
+                    is_prime, prime_divisors, rational_mod, vp)
 from .padic import Ball, PAdicSet, canonicalize, member
 
 __all__ = [
@@ -73,16 +75,8 @@ class IntegerSet:
             out = math.lcm(out, c.modulus)
         return out
 
-    def allowed_residues(self) -> tuple[int, ...]:
-        """Residues mod the exclusion modulus not hit by any exclusion."""
-        L = self.exclusion_modulus
-        return tuple(r for r in range(L)
-                     if not any(c.contains(r) for c in self.excluded))
-
     def is_finite(self) -> bool:
-        if self.base is not None:
-            return True
-        return not self.allowed_residues()
+        return self.base is not None or covers(0, 1, self.excluded)
 
     def finite_elements(self) -> tuple[int, ...]:
         if not self.is_finite():
@@ -95,14 +89,6 @@ class IntegerSet:
 
     def is_empty(self) -> bool:
         return self.is_finite() and not self.finite_elements()
-
-    def is_all_integers(self) -> bool:
-        """True when every integer is a member.
-
-        An excluded class removes infinitely many integers while extras
-        restore only finitely many, so any exclusion rules this out.
-        """
-        return self.base is None and not self.excluded
 
     def sample(self, count: int = 8) -> tuple[int, ...]:
         """A few members, for spot checks."""
@@ -136,7 +122,9 @@ def closure_in_zp(e: IntegerSet, p: int,
     Finite sets close to themselves.  Otherwise a residue class mod p^D,
     with D one past the p-valuation of the exclusion modulus, is either
     disjoint from the set or meets it densely, so the closure is a union
-    of depth-D balls plus the finitely many re-added points.
+    of depth-D balls plus the finitely many re-added points.  A class is
+    kept when the exclusions do not cover it; the p^D classes are capped
+    by residue_cap, and so are the nodes of each covering check.
     """
     if e.is_finite():
         return canonicalize(PAdicSet(
@@ -147,13 +135,8 @@ def closure_in_zp(e: IntegerSet, p: int,
     if count > config.residue_cap:
         raise ResourceLimitError(
             f"{count} residue classes at prime {p}", count, config.residue_cap)
-    joint = math.lcm(count, L)
-    balls = []
-    for c in range(count):
-        # does class c mod p^D contain infinitely many members?
-        if not all(any(ex.contains(r) for ex in e.excluded)
-                   for r in range(c, joint, count)):
-            balls.append(Ball(p, c, depth))
+    balls = [Ball(p, c, depth) for c in range(count)
+             if not covers(c, count, e.excluded, config)]
     points = [Fraction(n) for n in e.extra]
     return canonicalize(PAdicSet(p, balls, points))
 
@@ -212,9 +195,9 @@ def adelic_closure_member(e: IntegerSet, x: AdelicCandidate,
     simultaneously to arbitrary depth.  The congruence constraints
     stabilize one level past the p-part of the exclusion modulus L, so by
     the Chinese remainder theorem the coordinates fold into one class
-    c mod M, and the candidate is a member iff some lift of c mod
-    lcm(M, L) avoids every exclusion.  An exact rational match with a
-    finite-set element or a re-added extra also settles it.
+    c mod M, and the candidate is a member iff the exclusions do not
+    cover that class.  An exact rational match with a finite-set element
+    or a re-added extra also settles it.
     """
     # a member z of e equal to every listed coordinate works at all depths
     exact_common = _common_exact_value(x)
@@ -231,13 +214,7 @@ def adelic_closure_member(e: IntegerSet, x: AdelicCandidate,
         congruences.append(Congruence(rational_mod(x_p, modulus), modulus))
     # powers of distinct primes are coprime, so the fold always succeeds
     c = crt_solve(congruences)
-    lifts = L // math.gcd(c.modulus, L)
-    if lifts > config.residue_cap:
-        raise ResourceLimitError(
-            f"{lifts} lifts of the candidate class", lifts, config.residue_cap)
-    return not all(any(ex.contains(c.residue + c.modulus * t)
-                       for ex in e.excluded)
-                   for t in range(lifts))
+    return not covers(c.residue, c.modulus, e.excluded, config)
 
 
 def _common_exact_value(x: AdelicCandidate) -> Optional[int]:

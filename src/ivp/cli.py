@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import adelic, dsl, membership, overrings, padic, polys
 from .config import DEFAULT_CONFIG, Config, load_config_file
-from .errors import IvpError
+from .errors import InvariantError, IvpError
 from .exact import INFINITY, is_finite
 from .overrings import Decision, TriState
 
@@ -249,25 +249,37 @@ def _cmd_adele_diff(args, config):
 def _cmd_selftest(args, config):
     from fractions import Fraction as F
     checks = 0
+
+    def check(holds: bool, what: str) -> None:
+        if not holds:
+            raise InvariantError(f"selftest failed: {what}")
+
     s = dsl.parse_set("seq(2; 0, 1, 0, -lim)", config)
-    assert not padic.member(F(0), s) and padic.member(F(0), padic.closure(s))
+    check(not padic.member(F(0), s) and padic.member(F(0), padic.closure(s)),
+          "0 is a limit point outside seq(2; 0, 1, 0, -lim)")
     checks += 1
     f = dsl.parse_poly("(X^2 - X)/2")
-    assert membership.is_integer_valued(f, padic.full_set(2), config)
+    check(membership.is_integer_valued(f, padic.full_set(2), config),
+          "(X^2 - X)/2 is integer valued on Z_2")
     checks += 1
     q = dsl.parse_irreducible("X^2 - 17", config)
-    assert len(polys.roots_in_set(q, padic.full_set(2), config)) == 2
-    assert not polys.roots_in_set(dsl.parse_irreducible("X^2 + 1", config),
-                                  padic.full_set(2), config)
+    check(len(polys.roots_in_set(q, padic.full_set(2), config)) == 2,
+          "X^2 - 17 has two roots in Z_2")
+    check(not polys.roots_in_set(dsl.parse_irreducible("X^2 + 1", config),
+                                 padic.full_set(2), config),
+          "X^2 + 1 has no root in Z_2")
     checks += 1
     e = dsl.parse_intset("Z \\ (65 mod 72)")
     cand = dsl.parse_candidate("2: 65, 3: 65")
-    assert adelic.product_closure_member(e, cand, config)
-    assert not adelic.adelic_closure_member(e, cand, config)
+    check(adelic.product_closure_member(e, cand, config),
+          "(65, 65) is in the product closure of Z \\ (65 mod 72)")
+    check(not adelic.adelic_closure_member(e, cand, config),
+          "(65, 65) is outside the adelic closure of Z \\ (65 mod 72)")
     checks += 1
     intz = overrings.RingSpec.integers()
-    assert overrings.ring_contains(overrings.RingSpec.primes_ring(),
-                                   intz, config).is_yes
+    check(overrings.ring_contains(overrings.RingSpec.primes_ring(),
+                                  intz, config).is_yes,
+          "the primes ring contains Int(Z)")
     checks += 1
     return 0, {"checks": checks}, [f"selftest passed ({checks} checks)"]
 
@@ -397,11 +409,8 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
         code, payload, lines = args.handler(args, config)
-    except IvpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IvpError, ValueError, OSError, MemoryError, RecursionError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))

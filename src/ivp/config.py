@@ -2,9 +2,9 @@
 
 Every operation that enumerates residues, scans primes, or searches for a
 witness takes its limits from a Config.  The defaults are generous enough
-for interactive use; callers (and the CLI via ``--cap``/``--config``) can
-tighten or raise them.  Limits only ever turn an answer into an explicit
-resource error, never into a wrong answer.
+for interactive use; callers (and the CLI via ``--residue-cap`` and its
+siblings or ``--config``) can tighten or raise them.  Limits only ever
+turn an answer into an explicit resource error, never into a wrong answer.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Config:
-    # largest number of residue classes any single enumeration may visit
+    # largest number of residue classes any single enumeration may visit,
+    # and of nodes one covering check (exact.covers) may split into
     residue_cap: int = 2 ** 20
     # largest polynomial degree accepted by constructors
     degree_cap: int = 64
     # primes below this bound are scanned in tail analyses and witness searches
     prime_scan_bound: int = 10_000
-    # deterministic primality is guaranteed below 2**primality_bits
-    primality_bits: int = 64
     # bounded search size for separating polynomials
     search_degree_cap: int = 256
 

@@ -1,4 +1,5 @@
-"""Exact integer/rational helpers: p-adic valuations, CRT, primes.
+"""Exact integer/rational helpers: p-adic valuations, CRT, covering of
+congruence classes, primes.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` (always
 reduced, positive denominator); valuations are plain ints except for the
@@ -145,20 +146,54 @@ def crt_solve(congruences: Sequence[Congruence]) -> Optional[Congruence]:
     return Congruence(residue, modulus)
 
 
-# Deterministic Miller-Rabin witnesses: correct for all n < 3.3 * 10**24,
-# which covers the 64-bit guarantee advertised by Config.primality_bits.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def covers(residue: int, modulus: int, classes: Sequence[Congruence],
+           config: Config = DEFAULT_CONFIG) -> bool:
+    """Does the union of `classes` contain every n = residue mod modulus?
+
+    Each node is a class r mod M.  A class rᵢ mod mᵢ meets it iff
+    gcd(M, mᵢ) divides r - rᵢ, and then covers the share gcd(M, mᵢ)/mᵢ
+    of it.  The node is covered when some meeting class has mᵢ | M, and
+    escapes when the shares of the meeting classes sum to less than 1.
+    Otherwise it splits into its q classes mod qM, for a prime q of a
+    relative modulus mᵢ/gcd(M, mᵢ); M then grows towards the lcm of the
+    mᵢ, where one of the first two answers must hold.  Deciding covering
+    systems is hard in general, so the nodes are capped by residue_cap.
+    """
+    stack = [(residue % modulus, modulus, tuple(classes))]
+    nodes = 1
+    while stack:
+        r, m, live = stack.pop()
+        live = tuple(c for c in live
+                     if (r - c.residue) % math.gcd(m, c.modulus) == 0)
+        if any(m % c.modulus == 0 for c in live):
+            continue
+        if sum(Fraction(math.gcd(m, c.modulus), c.modulus) for c in live) < 1:
+            return False
+        q = prime_divisors(live[0].modulus // math.gcd(m, live[0].modulus),
+                           config)[0]
+        nodes += q
+        if nodes > config.residue_cap:
+            raise ResourceLimitError(
+                f"covering check needs over {config.residue_cap} classes",
+                nodes, config.residue_cap)
+        stack.extend((r + m * t, m * q, live) for t in range(q))
+    return True
 
 
-def is_prime(n: int, config: Config = DEFAULT_CONFIG) -> bool:
-    """Deterministic primality for n below the configured bit bound."""
-    if n >= 1 << (config.primality_bits + 17):
-        # the witness set is proven out to ~2**81; refuse beyond that
+# Deterministic Miller-Rabin witnesses: the first thirteen primes decide
+# every n below psi_13 (Sorenson and Webster, 2015); larger n are refused.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n below the proven witness bound."""
+    if n >= _MR_BOUND:
         raise PreconditionError(
             f"{n} exceeds the deterministic primality bound")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
@@ -205,7 +240,7 @@ def prime_divisors(n: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
                 n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        if d * d > n or is_prime(n, config):
+        if d * d > n or is_prime(n):
             out.append(n)
         else:
             raise ResourceLimitError(

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .exact import INFINITY, Rat, is_finite, rational_mod, vp
 from .padic import PAdicSet, canonicalize, closure, member
 from .polys import IrreduciblePoly, RatPoly, max_valuation
@@ -44,7 +44,8 @@ def is_integer_valued(f: RatPoly, s: PAdicSet,
     """
     p = s.p
     m = vp(f.denominator, p)
-    assert is_finite(m)
+    if not is_finite(m):
+        raise InvariantError(f"{f} has denominator zero")
     if m == 0:
         return True
     g = RatPoly(f.coeffs)               # numerator, evaluated exactly
@@ -190,11 +191,13 @@ def separating_polynomial(e: PAdicSet, alpha: Rat,
     for _ in range(config.search_degree_cap):
         w, attain = _min_valuation(factors, f_closed)
         at_alpha = _sum_val(factors, alpha, p)
-        assert is_finite(at_alpha)      # alpha is not an element of the set
+        if not is_finite(at_alpha):
+            raise InvariantError(f"{alpha} is a root of the separator")
         if at_alpha < w:
             result = product * Fraction(1, p ** (at_alpha + 1))
             break
-        assert attain is not None
+        if attain is None:
+            raise InvariantError("minimum valuation not attained")
         factors.append(attain)
         product = product * RatPoly.from_fractions([-attain, 1])
     if result is None:
@@ -203,9 +206,9 @@ def separating_polynomial(e: PAdicSet, alpha: Rat,
             config.search_degree_cap, config.search_degree_cap)
 
     if not is_integer_valued(result, f_closed, config):
-        raise AssertionError("separator failed validation on the set")
+        raise InvariantError("separator failed validation on the set")
     if vp(result.eval_at(alpha), p) >= 0:
-        raise AssertionError("separator failed validation at alpha")
+        raise InvariantError("separator failed validation at alpha")
     return result
 
 
@@ -275,5 +278,5 @@ def _spot_check_witness(w: WitnessRationalFunction,
     for p, s in family.items():
         for x in some_elements(s, 3):
             if vp(w.value_at(x), p) < 0:
-                raise AssertionError(
+                raise InvariantError(
                     f"witness {w} fails at {x} for prime {p}")

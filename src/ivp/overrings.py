@@ -26,8 +26,8 @@ from .adelic import IntegerSet, closure_in_zp
 from .config import DEFAULT_CONFIG, Config
 from .errors import (InvariantError, PreconditionError, ResourceLimitError,
                      UnsupportedComparisonError)
-from .exact import (Rat, check_prime_arg, is_finite, is_prime, prime_divisors,
-                    vp)
+from .exact import (Congruence, Rat, check_prime_arg, covers, is_finite,
+                    is_prime, prime_divisors, vp)
 from .membership import is_integer_valued, witness_rational_function, WitnessRationalFunction
 from .padic import (Ball, DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
                     canonicalize, closure, empty_set, full_set, instantiate,
@@ -473,7 +473,7 @@ def _escaping_polynomial(rep: Representation, spec: RingSpec,
     q = IrreduciblePoly.assert_irreducible(monic * v - one, config)
     while rep.lists(q):
         v *= next(ell for ell in itertools.count(2)
-                  if v % ell and is_prime(ell, config))
+                  if v % ell and is_prime(ell))
         q = IrreduciblePoly.assert_irreducible(monic * v - one, config)
     return q
 
@@ -872,7 +872,8 @@ def _seq_integer_indices(seq: SeqWithLimit) -> Optional[tuple[int, ...]]:
     seq = seq.normalized()
     p = seq.p
     start_of_cycle = vp(Fraction(seq.scale).denominator, p)
-    assert is_finite(start_of_cycle)
+    if not is_finite(start_of_cycle):
+        raise InvariantError(f"{seq} has scale zero")
     hits = [n for n in range(start_of_cycle)
             if seq.element(n).denominator == 1]
     seen: dict[Fraction, int] = {}
@@ -890,7 +891,6 @@ def _seq_integer_indices(seq: SeqWithLimit) -> Optional[tuple[int, ...]]:
 def _crt_integer_set(r: RingSpec, config: Config) -> IntegerSet:
     """Excluded-classes description of the integers allowed by balls-only
     local sets at the window primes."""
-    from .exact import Congruence
     excluded = []
     for p in r.window():
         s = r.local_set(p, config)
@@ -899,11 +899,7 @@ def _crt_integer_set(r: RingSpec, config: Config) -> IntegerSet:
         if modulus > config.residue_cap:
             raise ResourceLimitError(
                 f"residue enumeration at {p}", modulus, config.residue_cap)
-        inside = set()
-        for b in s.balls:
-            step = p ** b.depth
-            inside.update(range(b.center % step, modulus, step))
-        for c in range(modulus):
-            if c not in inside:
-                excluded.append(Congruence(c, modulus))
+        balls = [Congruence(b.center, p ** b.depth) for b in s.balls]
+        excluded.extend(Congruence(c, modulus) for c in range(modulus)
+                        if not covers(c, modulus, balls, config))
     return IntegerSet(excluded=tuple(excluded))

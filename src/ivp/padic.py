@@ -21,8 +21,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError, ResourceLimitError
-from .exact import INFINITY, Rat, check_prime_arg, rational_mod, vp
+from .errors import PreconditionError
+from .exact import (INFINITY, Congruence, Rat, check_prime_arg, covers,
+                    rational_mod, vp)
 
 
 @dataclass(frozen=True)
@@ -352,26 +353,9 @@ def sets_equal(a: PAdicSet, b: PAdicSet) -> bool:
 # ---------------------------------------------------------------------------
 
 def _ball_covered(b: Ball, cover: Sequence[Ball], config: Config) -> bool:
-    """Is the ball contained in the union of `cover`?  Exact enumeration."""
-    if any(c.contains_ball(b) for c in cover):
-        return True
-    if not cover:
-        return False
-    depth = max(c.depth for c in cover)
-    if depth <= b.depth:
-        return False                    # would have been caught above
-    count = b.p ** (depth - b.depth)
-    if count > config.residue_cap:
-        raise ResourceLimitError(
-            f"ball cover check needs {count} residues", count, config.residue_cap)
-    step = b.p ** b.depth
-    index = {(c.depth, c.center) for c in cover}
-    depths = sorted({c.depth for c in cover})
-    for t in range(count):
-        r = b.center + t * step
-        if not any((d, r % b.p ** d) in index for d in depths):
-            return False
-    return True
+    """Is the ball contained in the union of `cover`?  Exact."""
+    return covers(b.center, b.p ** b.depth,
+                  [Congruence(c.center, c.p ** c.depth) for c in cover], config)
 
 
 def _seq_subset(q: SeqWithLimit, b: PAdicSet, config: Config) -> bool:
@@ -540,28 +524,8 @@ def remove_isolated_point(s: PAdicSet, alpha: Rat,
 
 
 # ---------------------------------------------------------------------------
-# intersection helpers (used by the adelic and polynomial modules)
+# sampling
 # ---------------------------------------------------------------------------
-
-def meets_ball(s: PAdicSet, ball: Ball, config: Config = DEFAULT_CONFIG) -> bool:
-    """Does the set intersect the given ball?  Exact."""
-    if ball.p != s.p:
-        raise PreconditionError("ball prime differs from set prime")
-    for b in s.balls:
-        if b.contains_ball(ball) or ball.contains_ball(b):
-            return True
-    if any(ball.contains(x) for x in s.points):
-        return True
-    for q in s.seqs:
-        if ball.contains(q.limit):
-            return True                 # the tail enters every such ball
-        last = q.start - 1
-        d = vp(q.limit - ball.center, q.p)
-        last = max(last, d - vp(q.scale, q.p))
-        if any(ball.contains(q.element(n)) for n in range(q.start, last + 1)):
-            return True
-    return False
-
 
 def some_elements(s: PAdicSet, per_component: int = 4) -> Iterator[Fraction]:
     """A few concrete elements of the set, for sampling and validation."""

@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError, ResourceLimitError
-from .exact import (INFINITY, Rat, Valuation, check_prime_arg, is_finite,
-                    prime_divisors, primes_below, vp)
+from .errors import InvariantError, PreconditionError, ResourceLimitError
+from .exact import (INFINITY, Rat, Valuation, is_finite, prime_divisors,
+                    primes_below, vp)
 from .padic import Ball, PAdicSet, canonicalize, closure, member
 
 
@@ -398,14 +399,19 @@ class IrreduciblePoly:
     def assert_irreducible(cls, poly: RatPoly,
                            config: Config = DEFAULT_CONFIG) -> "IrreduciblePoly":
         """Trust the caller; squarefreeness is still verified."""
-        coeffs = _primitive_part(poly, config)
-        as_poly = RatPoly(coeffs)
-        if resultant(as_poly, as_poly.derivative()) == 0:
+        q = cls(_primitive_part(poly, config), CertificateKind.CALLER_ASSERTED)
+        if q.squarefree_resultant == 0:
             raise PreconditionError(f"{poly} is not squarefree")
-        return cls(coeffs, CertificateKind.CALLER_ASSERTED)
+        return q
 
     def as_ratpoly(self) -> RatPoly:
         return RatPoly(self.coeffs)
+
+    @cached_property
+    def squarefree_resultant(self) -> Fraction:
+        """Res(q, q'): nonzero iff q is squarefree."""
+        qq = self.as_ratpoly()
+        return resultant(qq, qq.derivative())
 
     @property
     def degree(self) -> int:
@@ -509,12 +515,9 @@ def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
     Termination relies on q squarefree: vp(resultant(q, q')) caps the depth.
     """
     p = ball.p
-    qq = q.as_ratpoly()
-    res = resultant(qq, qq.derivative())
-    if res == 0:
+    if q.squarefree_resultant == 0:
         raise PreconditionError(f"{q} is not squarefree")
-    rv = vp(res, p)
-    assert is_finite(rv)
+    rv = vp(q.squarefree_resultant, p)
     depth_cap = ball.depth + 2 * rv + 8
     dq = _derivative_int(q)
     stack = [(ball.center, ball.depth)]
@@ -634,14 +637,16 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
 
     for x in s.points:
         v = vp(q.eval_at(x), p)
-        assert is_finite(v)
+        if not is_finite(v):
+            raise InvariantError(f"{q} vanishes at the point {x}")
         consider(v, x)
     for seq in s.seqs:
         seq = seq.normalized()
         shifted = RatPoly(q.coeffs).shifted(seq.limit)
         b0 = shifted.coefficient(0)     # q(limit) != 0: no roots in closure
         v0 = vp(b0, p)
-        assert is_finite(v0)
+        if not is_finite(v0):
+            raise InvariantError(f"{q} vanishes at the limit {seq.limit}")
         av = vp(seq.scale, p)
         stable = 0
         for i in range(1, shifted.degree + 1):
@@ -655,7 +660,8 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
         consider(v0, seq.element(max(stable, 0)))
         for n in range(0, max(stable, 0)):
             v = vp(q.eval_at(seq.element(n)), p)
-            assert is_finite(v)
+            if not is_finite(v):
+                raise InvariantError(f"{q} vanishes at an element of {seq}")
             consider(v, seq.element(n))
     for ball in s.balls:
         for event in _tree_events(q, ball, config):
@@ -663,7 +669,8 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
                 raise PreconditionError("unexpected root during max valuation")
             _, r, m, t = event
             consider(t, Fraction(r))
-    assert best is not None
+    if best is None:
+        raise InvariantError("maximum valuation over no component")
     return best, witness
 
 
@@ -671,33 +678,3 @@ def max_valuation(q: IrreduciblePoly, s: PAdicSet,
                   config: Config = DEFAULT_CONFIG) -> Valuation:
     """sup of vp(q(x)) over the set; INFINITY iff q has a root there."""
     return max_valuation_witness(q, s, config)[0]
-
-
-# ---------------------------------------------------------------------------
-# residue tables
-# ---------------------------------------------------------------------------
-
-def reduce_mod(f: RatPoly, p: int, m: int,
-               config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
-    """Values of the numerator of f over all residues mod p^m.
-
-    Entry r is g(r) mod p^m where f = g/d.  Requires vp(d) <= m so the
-    table is meaningful for deciding vp(f) >= 0 questions at depth m.
-    """
-    check_prime_arg(p)
-    if m < 0:
-        raise PreconditionError("negative depth")
-    if vp(f.denominator, p) > m:
-        raise PreconditionError(
-            f"denominator {f.denominator} has {p}-valuation above {m}")
-    modulus = p ** m
-    if modulus > config.residue_cap:
-        raise ResourceLimitError(
-            f"residue table of size {modulus}", modulus, config.residue_cap)
-    table = []
-    for r in range(modulus):
-        acc = 0
-        for c in reversed(f.coeffs):
-            acc = (acc * r + c) % modulus
-        table.append(acc)
-    return tuple(table)

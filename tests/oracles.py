@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ivp.errors import PreconditionError
 from ivp.exact import rational_mod, vp
 from ivp.padic import Ball, PAdicSet, SeqWithLimit
 
@@ -80,6 +81,29 @@ def set_residues(s: PAdicSet, m: int) -> set[int]:
     for q in s.seqs:
         out.update(seq_residues(q, m))
     return out
+
+
+def meets_ball(s: PAdicSet, ball: Ball) -> bool:
+    """Does the set intersect the given ball?  Exact: a sequence whose
+    limit lies outside the ball stays at a fixed distance from its center
+    once the terms are closer to the limit than the limit is to the
+    center, so only the elements before that index are checked."""
+    if ball.p != s.p:
+        raise PreconditionError("ball prime differs from set prime")
+    for b in s.balls:
+        if b.contains_ball(ball) or ball.contains_ball(b):
+            return True
+    if any(ball.contains(x) for x in s.points):
+        return True
+    for q in s.seqs:
+        if ball.contains(q.limit):
+            return True                 # the tail enters every such ball
+        last = q.start - 1
+        d = vp(q.limit - ball.center, q.p)
+        last = max(last, d - vp(q.scale, q.p))
+        if any(ball.contains(q.element(n)) for n in range(q.start, last + 1)):
+            return True
+    return False
 
 
 def _integer_form(f) -> tuple[list[int], int]:
@@ -204,3 +228,21 @@ def brute_simultaneous_hit(e, prescriptions: dict[int, int], depth: int) -> bool
                for p, x in prescriptions.items()):
             return True
     return False
+
+
+def is_all_integers(e) -> bool:
+    """True when every integer is a member of the IntegerSet e.
+
+    An excluded class removes infinitely many integers while extras
+    restore only finitely many, so any exclusion rules this out.
+    """
+    return e.base is None and not e.excluded
+
+
+def brute_covers(r: int, m: int, classes) -> bool:
+    """Is every n = r mod m in one of the Congruence classes?  Scans the
+    lifts of r mod m to the lcm of m and all the class moduli, past which
+    membership in any class repeats."""
+    period = math.lcm(m, *(c.modulus for c in classes))
+    return all(any(c.contains(n) for c in classes)
+               for n in range(r % m, period, m))

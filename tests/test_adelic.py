@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     brute_hit_residues,
+    is_all_integers,
     brute_simultaneous_hit,
     intset_elements_in_period,
 )
@@ -24,6 +25,7 @@ from ivp.adelic import (
     closures_differ,
     product_closure_member,
 )
+from ivp.config import Config
 from ivp.errors import PreconditionError
 from ivp.exact import Congruence, vp
 from ivp.padic import full_set, member, sets_equal
@@ -75,8 +77,13 @@ def test_finite_and_empty_detection():
     both = IntegerSet(excluded=(Congruence(0, 2), Congruence(1, 2)))
     assert both.is_finite() and both.is_empty()
     assert not THE_72_SET.is_finite()
-    assert IntegerSet.all_integers().is_all_integers()
-    assert not THE_72_SET.is_all_integers()
+    # Erdős's covering system: every integer lies in one of these classes
+    system = tuple(Congruence(r, m)
+                   for r, m in ((0, 2), (0, 3), (1, 4), (5, 6), (7, 12)))
+    assert IntegerSet(excluded=system, extra=(5,)).finite_elements() == (5,)
+    assert not IntegerSet(excluded=system[:-1]).is_finite()
+    assert is_all_integers(IntegerSet.all_integers())
+    assert not is_all_integers(THE_72_SET)
 
 
 def test_str_shapes():
@@ -217,6 +224,13 @@ THE_720720_SET = IntegerSet.without_classes(Congruence(65, 720720))
 def test_hat_membership_on_a_large_modulus():
     x = AdelicCandidate.of({2: 65, 3: 65})
     assert adelic_closure_member(THE_720720_SET, x)
+
+
+def test_hat_membership_needs_no_scan_of_the_lifts():
+    # the fold 65 mod 864 has 5005 lifts mod 720720; one covering node
+    # decides it, so a cap of 1000 is plenty
+    x = AdelicCandidate.of({2: 65, 3: 65})
+    assert adelic_closure_member(THE_720720_SET, x, Config(residue_cap=1000))
 
 
 def test_hat_rejects_the_excluded_diagonal_on_a_large_modulus():

@@ -4,10 +4,14 @@ Exit code contract: 0 definite answer, 2 honest unknown, 1 for every
 kind of error (usage, parse, precondition, resource).
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import ivp
+from ivp import adelic, padic
 from ivp.cli import main
 from ivp.dsl import parse_poly, parse_set
 from ivp.exact import vp
@@ -271,6 +275,44 @@ def test_config_file(tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
     code, _, err = run(capsys, "--config", str(missing), "selftest")
     assert code == 1 and "error" in err
+
+
+def test_config_file_rejects_removed_keys(tmp_path, capsys):
+    path = tmp_path / "old.cfg"
+    path.write_text("primality_bits = 128\n")
+    code, _, err = run(capsys, "--config", str(path), "selftest")
+    assert code == 1 and "unknown config key 'primality_bits'" in err
+
+
+def test_huge_prime_modulus_is_a_named_error(capsys):
+    code, out, err = run(capsys, "adele-diff", "--intset",
+                         r"Z \ (1 mod 1000000007)")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "residue classes at prime" in err
+
+
+def test_failed_selftest_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(adelic, "adelic_closure_member", lambda *args: True)
+    code, out, err = run(capsys, "selftest")
+    assert code == 1 and out == ""
+    assert err.startswith("error: selftest failed") and "Traceback" not in err
+
+
+def test_handler_recursion_error_exits_1(monkeypatch, capsys):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(padic, "closure", too_deep)
+    code, out, err = run(capsys, "closure", "--set", TWO_POWERS)
+    assert code == 1 and out == ""
+    assert err == "error: maximum recursion depth exceeded\n"
+
+
+def test_no_assert_statements_in_the_library():
+    # asserts vanish under python -O; internal checks raise InvariantError
+    for path in Path(ivp.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)], path.name
 
 
 def test_isolated_output(capsys):

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ivp.config import DEFAULT_CONFIG
+from oracles import brute_covers
+
+from ivp.config import Config
 from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import (
     INFINITY,
     Congruence,
+    covers,
     crt_solve,
     is_finite,
     is_prime,
@@ -130,7 +133,7 @@ def test_primes_below_matches_sieve():
 @given(st.integers(2, 10**6))
 def test_is_prime_matches_trial_division(n):
     truth = all(n % d for d in range(2, int(n ** 0.5) + 1))
-    assert is_prime(n, DEFAULT_CONFIG) == truth
+    assert is_prime(n) == truth
 
 
 def test_is_prime_large_known_values():
@@ -140,9 +143,66 @@ def test_is_prime_large_known_values():
     assert not is_prime(3825123056546413051)  # strong pseudoprime to few bases
 
 
+def test_is_prime_past_the_twelve_base_bound():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # base 2..37, so the thirteenth base 41 is what exposes it
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2 ** 79 - 67)           # largest prime below 2^79
+    # psi_13 fools bases 2..41 too; it and everything above is refused
+    with pytest.raises(PreconditionError):
+        is_prime(3317044064679887385961981)
+
+
 def test_prime_divisors():
     assert prime_divisors(720720) == (2, 3, 5, 7, 11, 13)
     assert prime_divisors(-(10 ** 9 + 7)) == (10 ** 9 + 7,)
     # two factors past the scan bound leave a cofactor it cannot split
     with pytest.raises(ResourceLimitError):
         prime_divisors(10007 * 10009)
+
+
+# ---------------------------------------------------------------------------
+# the covering kernel against a scan of the lifts
+# ---------------------------------------------------------------------------
+
+# divisors of 5040, small ones repeated so that covering systems turn up
+_MODULI = [1, 2, 2, 3, 3, 4, 4, 6, 6, 12, 12, 5, 7, 8, 9, 10, 14, 15, 16,
+           18, 20, 24, 30, 36, 48, 60, 72, 720, 5040]
+_classes = st.builds(Congruence, st.integers(0, 5039), st.sampled_from(_MODULI))
+
+
+@settings(deadline=None)
+@given(st.lists(_classes, max_size=12), st.integers(0, 5039),
+       st.sampled_from(_MODULI))
+def test_covers_matches_lift_scan_on_exclusion_sets(classes, r, m):
+    assert covers(r, m, classes) == brute_covers(r, m, classes)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3, 5]),
+       st.lists(st.tuples(st.integers(0, 10 ** 4), st.integers(0, 5)),
+                max_size=40),
+       st.integers(0, 10 ** 4), st.integers(0, 3))
+def test_covers_matches_lift_scan_on_ball_covers(p, cover, center, depth):
+    classes = [Congruence(c, p ** k) for c, k in cover]
+    assert (covers(center, p ** depth, classes)
+            == brute_covers(center, p ** depth, classes))
+
+
+def test_covering_system_of_erdos():
+    system = [Congruence(0, 2), Congruence(0, 3), Congruence(1, 4),
+              Congruence(5, 6), Congruence(7, 12)]
+    assert covers(0, 1, system)
+    assert not covers(0, 1, system[:-1])
+    assert not covers(0, 1, [])
+    assert covers(3, 8, [Congruence(1, 2)])
+
+
+def test_covers_caps_its_nodes():
+    # every class mod 1024 but 0 and every class mod 512 but 0: the shares
+    # sum past 1 down to 0 mod 256, so the check splits eight times
+    classes = ([Congruence(r, 1024) for r in range(1, 1024)]
+               + [Congruence(r, 512) for r in range(1, 512)])
+    assert not covers(0, 1, classes)
+    with pytest.raises(ResourceLimitError):
+        covers(0, 1, classes, Config(residue_cap=10))

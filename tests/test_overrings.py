@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import padic_sets
-from oracles import probe_elements
+from oracles import is_all_integers, probe_elements
 
 from ivp.adelic import IntegerSet
 from ivp.config import DEFAULT_CONFIG
@@ -438,7 +438,7 @@ def test_irredundant_frozen_cases():
 
 def test_simple_frozen_cases():
     verdict, witness = is_simple_integer_set_ring(RingSpec.integers())
-    assert verdict.is_yes and witness.integer_set.is_all_integers()
+    assert verdict.is_yes and is_all_integers(witness.integer_set)
 
     verdict, witness = is_simple_integer_set_ring(RingSpec.rationals())
     assert verdict.is_yes and witness.integer_set.is_empty()

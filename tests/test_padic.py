@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PRIMES, p_integral, padic_sets, primes
-from oracles import brute_in_closure, brute_member, probe_elements, set_residues
+from oracles import (brute_in_closure, brute_member, meets_ball, probe_elements,
+                     set_residues)
 
+from ivp.config import Config
 from ivp.errors import PreconditionError
 from ivp.padic import (
     Ball,
@@ -31,7 +33,6 @@ from ivp.padic import (
     is_dense_in,
     is_subset,
     isolated_points,
-    meets_ball,
     member,
     point_set,
     remove_isolated_point,
@@ -140,6 +141,15 @@ def test_subset_antisymmetry_is_canonical_equality(data):
     assert both == sets_equal(a, b)
     if both:
         assert canonicalize(a) == canonicalize(b)
+
+
+def test_ball_cover_needs_no_residue_scan():
+    # the balls of valuation 0..11 leave out 2^12 Z_2; the shares of the
+    # cover sum to 1 - 2^-12, which settles it without the 4096 residues
+    cover = PAdicSet(2, [Ball(2, 2 ** j, j + 1) for j in range(12)])
+    assert not is_subset(full_set(2), cover, Config(residue_cap=1000))
+    assert is_subset(full_set(2), PAdicSet(2, cover.balls + (Ball(2, 0, 12),)),
+                     Config(residue_cap=1000))
 
 
 def test_cross_prime_comparison_rejected():

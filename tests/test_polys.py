@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import padic_sets, primes
 from oracles import (
     brute_max_valuation_lower_bound,
+    meets_ball,
     probe_elements,
     root_residues,
 )
@@ -27,7 +28,6 @@ from ivp.polys import (
     max_valuation,
     max_valuation_witness,
     rational_roots,
-    reduce_mod,
     resultant,
     roots_in_set,
 )
@@ -207,7 +207,6 @@ def test_root_certificates_lie_inside_the_set(s):
             assert member(c.value, closure(s))
         else:
             # the certified ball must meet the set
-            from ivp.padic import meets_ball
             assert meets_ball(closure(s), c.ball)
 
 
@@ -253,18 +252,23 @@ def test_max_valuation_bounds_and_attainment(s, coeffs):
         assert roots_in_set(q, closure(s)) != ()
 
 
+def test_squarefree_resultant_is_computed_once(monkeypatch):
+    import ivp.polys as polys
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return resultant(f, g)
+    monkeypatch.setattr(polys, "resultant", counted)
+    q = IrreduciblePoly.assert_irreducible(P(-2, 0, 0, 0, 1))   # X^4 - 2
+    for p in (2, 3, 5, 7):
+        roots_in_set(q, full_set(p))
+        max_valuation(q, full_set(p))
+    assert len(calls) == 1
+    qq = q.as_ratpoly()
+    assert q.squarefree_resultant == resultant(qq, qq.derivative())
+
+
 def test_max_valuation_alias():
     assert max_valuation(irr(1, 0, 1), full_set(2)) == 1
 
-
-# ---------------------------------------------------------------------------
-# numerator tables
-# ---------------------------------------------------------------------------
-
-def test_reduce_mod_integer_valuedness_table():
-    f = P(0, Fraction(-1, 2), Fraction(1, 2))   # (X^2 - X)/2
-    table = reduce_mod(f, 2, 1)
-    # numerator x^2 - x vanishes mod 2 at both residues: integer valued
-    assert table == (0, 0)
-    g = P(Fraction(1, 2), 0, Fraction(1, 2))    # (X^2 + 1)/2
-    assert reduce_mod(g, 2, 1) != (0, 0)
