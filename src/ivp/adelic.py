@@ -233,8 +233,9 @@ def closures_differ(e: IntegerSet,
 
     Finite sets of size two or more always separate: prescribing two
     different elements at two suitable primes cannot be matched by one
-    integer.  For congruence-defined sets the candidates are the excluded
-    residues, prescribed diagonally at the primes of the modulus.
+    integer.  For congruence-defined sets the candidates are integers of
+    the excluded classes, prescribed diagonally at the primes of the
+    modulus.
     """
     if e.is_finite():
         elems = e.finite_elements()
@@ -253,13 +254,27 @@ def closures_differ(e: IntegerSet,
             return cand
         return None
 
-    L = e.exclusion_modulus
-    primes = prime_divisors(L, config)
+    # Each excluded class takes, at every prime of L, a closure ball that
+    # meets it; the CRT fold of those congruences gives an integer n in
+    # every ball.  n lies in an excluded class and is not re-added, so it
+    # is outside the restricted-product closure: no adelic test is needed.
+    closures = {p: closure_in_zp(e, p, config)
+                for p in prime_divisors(e.exclusion_modulus, config)}
     for c in e.excluded:
-        for r in range(c.residue, L, c.modulus):
-            cand = AdelicCandidate.diagonal(r, primes)
-            if (product_closure_member(e, cand, config)
-                    and not adelic_closure_member(e, cand, config)):
-                return cand
+        balls = [_ball_meeting(f, c) for f in closures.values()]
+        if None in balls:
+            continue
+        r = crt_solve([c] + [Congruence(b.center, b.p ** b.depth) for b in balls])
+        n = r.residue
+        while n in e.extra:
+            n += r.modulus
+        return AdelicCandidate.diagonal(n, closures)
     return None
 
+
+def _ball_meeting(f: PAdicSet, c: Congruence) -> Optional[Ball]:
+    """A ball of f that meets the class c; one holding c.residue first."""
+    k = vp(c.modulus, f.p)
+    meeting = [b for b in f.balls
+               if (b.center - c.residue) % f.p ** min(b.depth, k) == 0]
+    return min(meeting, key=lambda b: not b.contains(c.residue), default=None)

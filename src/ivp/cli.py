@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import adelic, dsl, membership, overrings, padic, polys
 from .config import DEFAULT_CONFIG, Config, load_config_file
 from .errors import InvariantError, IvpError
-from .exact import INFINITY, is_finite
-from .overrings import Decision, TriState
+from .exact import is_finite
+from .overrings import TriState
 
 
 def _bool_result(flag: bool, **extra):

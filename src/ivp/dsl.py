@@ -27,7 +27,7 @@ from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError
 from .exact import Congruence
 from .overrings import Representation, RingSpec
-from .padic import (Ball, DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
+from .padic import (Ball, DefaultRule, PAdicSet, SeqWithLimit,
                     instantiate, EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE,
                     integer_set_rule, single_power_rule)
 from .polys import IrreduciblePoly, RatPoly

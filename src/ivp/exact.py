@@ -81,12 +81,22 @@ def vp(x: Rat, p: int) -> Valuation:
 
 
 def _int_vp(n: int, p: int) -> int:
-    # n != 0
-    n = abs(n)
-    count = 0
-    while n % p == 0:
-        n //= p
-        count += 1
+    # n != 0.  At 2 the lowest set bit; otherwise divide out p, p^2, p^4, ...
+    # while they divide, then peel the same rungs back down: the rungs taken
+    # spell the rest of the valuation in binary, in O(log vp) divisions
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    if n % p:
+        return 0
+    count, rungs = 0, [p]
+    while n % rungs[-1] == 0:
+        n //= rungs[-1]
+        count += 1 << (len(rungs) - 1)
+        rungs.append(rungs[-1] * rungs[-1])
+    for i in range(len(rungs) - 2, -1, -1):
+        if n % rungs[i] == 0:
+            n //= rungs[i]
+            count += 1 << i
     return count
 
 

@@ -14,15 +14,13 @@ of S.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .exact import INFINITY, Rat, is_finite, rational_mod, vp
-from .padic import PAdicSet, canonicalize, closure, member
+from .padic import PAdicSet, closure, member
 from .polys import IrreduciblePoly, RatPoly, max_valuation
 
 __all__ = [
@@ -36,11 +34,12 @@ def is_integer_valued(f: RatPoly, s: PAdicSet,
     """Does f map every element of s into Z_p (p the set's prime)?
 
     True vacuously on the empty set.  With f = g/d and m = vp(d), the
-    value vp(f(x)) is >= 0 iff g(x) = 0 mod p^m.  A ball of depth k is
-    checked at its points c + p^k j for j < min(deg f + 1, p^(m-k)): the
-    first deg f + 1 of them decide it by the Polya criterion, and the
-    first p^(m-k) are all its residues mod p^m.  Sequences check finitely
-    many early elements before their residues stabilize.
+    value vp(f(x)) is >= 0 iff g(x) = 0 mod p^m, which Horner's rule
+    checks in Z/p^m.  A ball of depth k is checked at its points c + p^k j
+    for j < min(deg f + 1, p^(m-k)): the first deg f + 1 of them decide it
+    by the Polya criterion, and the first p^(m-k) are all its residues
+    mod p^m.  Sequences check finitely many early elements before their
+    residues stabilize.
     """
     p = s.p
     m = vp(f.denominator, p)
@@ -48,17 +47,20 @@ def is_integer_valued(f: RatPoly, s: PAdicSet,
         raise InvariantError(f"{f} has denominator zero")
     if m == 0:
         return True
-    g = RatPoly(f.coeffs)               # numerator, evaluated exactly
     modulus = p ** m
 
     def num_ok(x: Rat) -> bool:
-        return vp(g.eval_at(x), p) >= m
+        # g(x) = g(x mod p^m) mod p^m for p-integral x: Horner in Z/p^m
+        x, acc = rational_mod(x, modulus), 0
+        for c in reversed(f.coeffs):
+            acc = (acc * x + c) % modulus
+        return acc == 0
 
     for ball in s.balls:
         step = p ** ball.depth
         count = min(f.degree + 1, p ** max(m - ball.depth, 0))
         for j in range(count):
-            if not num_ok((ball.center + j * step) % modulus):
+            if not num_ok(ball.center + j * step):
                 return False
     for x in s.points:
         if not num_ok(x):

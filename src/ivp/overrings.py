@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -29,8 +29,8 @@ from .errors import (InvariantError, PreconditionError, ResourceLimitError,
 from .exact import (Congruence, Rat, check_prime_arg, covers, is_finite,
                     is_prime, prime_divisors, vp)
 from .membership import is_integer_valued, witness_rational_function, WitnessRationalFunction
-from .padic import (Ball, DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
-                    canonicalize, closure, empty_set, full_set, instantiate,
+from .padic import (DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
+                    canonicalize, closure, full_set, instantiate,
                     is_closed, is_subset, isolated_points, member,
                     remove_isolated_point, sets_equal,
                     EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE)

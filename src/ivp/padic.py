@@ -15,7 +15,8 @@ algebra, so structural equality of canonical forms is set equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -201,33 +202,36 @@ def is_closed(s: PAdicSet) -> bool:
 # ---------------------------------------------------------------------------
 
 def _canonical_balls(p: int, balls: Iterable[Ball]) -> list[Ball]:
-    """Disjoint maximal balls with the same union (unique for clopen sets)."""
-    work = {(b.depth, b.center) for b in balls}
-    # merge complete sibling families: p balls at depth k sharing a parent
-    merged = True
-    while merged:
-        merged = False
-        by_parent: dict[tuple[int, int], set[int]] = {}
-        for depth, center in work:
-            if depth >= 1:
-                parent = (depth - 1, center % p ** (depth - 1))
-                by_parent.setdefault(parent, set()).add(center)
-        for (pdepth, pcenter), children in by_parent.items():
-            if len(children) == p:
-                work -= {(pdepth + 1, c) for c in children}
-                work.add((pdepth, pcenter))
-                merged = True
-                break
-    # drop balls nested inside another (ultrametric: nested or disjoint)
-    depths = sorted({d for d, _ in work})
-    index = {(d, c) for d, c in work}
-    keep = []
-    for depth, center in work:
-        covered = any((d, center % p ** d) in index
-                      for d in depths if d < depth)
-        if not covered:
-            keep.append(Ball(p, center, depth))
-    keep.sort(key=lambda b: (b.depth, b.center))
+    """Disjoint maximal balls with the same union (unique for clopen sets).
+
+    Centers are bucketed by depth.  From the deepest depth up, each
+    complete family of p siblings merges into its parent, which joins the
+    level above; only depths that hold a ball are visited.  Balls nested
+    in a shallower one are then dropped (ultrametric: nested or disjoint).
+    """
+    levels: dict[int, set[int]] = {}
+    for b in balls:
+        levels.setdefault(b.depth, set()).add(b.center)
+    depth = max(levels, default=0)
+    while depth > 0:
+        if len(levels[depth]) >= p:
+            modulus = p ** (depth - 1)
+            families = Counter(c % modulus for c in levels[depth])
+            full = {parent for parent, n in families.items() if n == p}
+            if full:
+                levels[depth] = {c for c in levels[depth]
+                                 if c % modulus not in full}
+                levels.setdefault(depth - 1, set()).update(full)
+        depth = max((d for d in levels if d < depth), default=0)
+    keep: list[Ball] = []
+    above: list[tuple[int, set[int]]] = []      # (p^depth, centers) kept so far
+    depths = sorted(levels)
+    for depth in depths:
+        centers = {c for c in levels[depth]
+                   if not any(c % m in kept for m, kept in above)}
+        keep.extend(Ball(p, c, depth) for c in sorted(centers))
+        if depth != depths[-1]:
+            above.append((p ** depth, centers))
     return keep
 
 
@@ -253,93 +257,48 @@ def _last_index_in_balls(seq: SeqWithLimit, balls: Sequence[Ball]) -> int:
 
 
 def canonicalize(s: PAdicSet, config: Config = DEFAULT_CONFIG) -> PAdicSet:
-    """Normal form: structural equality of canonical forms is set equality.
+    """Normal form: a function of the set alone, so structural equality of
+    canonical forms is set equality.
 
-    Rules: reduce ball centers and keep the unique maximal disjoint ball
-    decomposition; dissolve sequences whose limit falls in a ball; merge
-    sequences that are tails of one another; extend sequences downward
-    through covered elements; absorb points into balls and sequences; an
-    excluded limit listed as a point becomes an included limit.
+    Balls take their unique maximal disjoint decomposition.  A sequence
+    whose limit falls in a ball dissolves into the points before its tail
+    enters the ball.  Every other sequence is a ray: its limit c and the
+    unit part u of its scale, with elements c + u*p^n for n >= e.  Rays
+    with one key are tails of one another, so each keeps its least e, and
+    then steps down while its next element lies in the set.  The walk
+    ends without a cap: a ball holds at most one element of a ray whose
+    limit lies outside it, and two rays with different limits share at
+    most three elements.  Points that a ball, a ray element or a ray
+    limit holds are dropped, and a limit is included exactly when it lies
+    in the set.
     """
     p = s.p
     balls = _canonical_balls(p, s.balls)
+    whole = PAdicSet(p, balls, s.points, s.seqs)
     points = set(s.points)
-
-    seqs: list[SeqWithLimit] = []
-    for q in (q.normalized() for q in s.seqs):
-        if _in_ball_union(q.limit, balls):
-            # whole tail is eventually inside the union; keep the leftovers
-            b = next(b for b in balls if b.contains(q.limit))
-            tail_from = max(0, b.depth - vp(q.scale, p))
-            for n in range(0, tail_from):
-                e = q.element(n)
-                if not _in_ball_union(e, balls):
-                    points.add(e)
+    rays: dict[tuple[Fraction, Fraction], int] = {}
+    for q in s.seqs:
+        sv = vp(q.scale, p)
+        unit = q.scale / Fraction(p) ** sv
+        b = next((b for b in balls if b.contains(q.limit)), None)
+        if b is None:
+            key = (q.limit, unit)
+            rays[key] = min(rays.get(key, sv + q.start), sv + q.start)
         else:
-            seqs.append(q)
-
-    # merge sequences that are p-power tails of one another (same limit)
-    merged: dict[tuple[Fraction, Fraction], bool] = {}
-    order: list[tuple[Fraction, Fraction]] = []
-    for q in seqs:
-        placed = False
-        for key in list(order):
-            limit, scale = key
-            if limit != q.limit:
-                continue
-            ratio = q.scale / scale
-            j = vp(ratio, p)
-            if ratio != Fraction(p) ** j:
-                continue
-            include = merged[key] or q.include_limit
-            if j >= 0:
-                merged[key] = include          # q is a tail of the kept seq
-            else:
-                del merged[key]                # kept seq is a tail of q
-                order[order.index(key)] = (q.limit, q.scale)
-                merged[(q.limit, q.scale)] = include
-            placed = True
-            break
-        if not placed:
-            order.append((q.limit, q.scale))
-            merged[(q.limit, q.scale)] = q.include_limit
-
-    # extend each sequence downward through elements already covered
-    final: list[SeqWithLimit] = []
-    for limit, scale in order:
-        include = merged[(limit, scale)]
-        while True:
-            cand = limit + scale / p
-            if vp(cand, p) < 0:
-                break
-            if cand in points:
-                points.discard(cand)
-            elif not _in_ball_union(cand, balls):
-                break
-            scale = scale / p
-        final.append(SeqWithLimit(p, limit, scale, 0, include))
-
-    # absorb points: into balls, into sequence elements, into limits
-    kept_points = []
-    for x in sorted(points):
-        if _in_ball_union(x, balls):
-            continue
-        if any(q.element_index(x) is not None for q in final):
-            continue
-        hit = [i for i, q in enumerate(final) if q.limit == x]
-        if hit:
-            for i in hit:
-                q = final[i]
-                final[i] = SeqWithLimit(p, q.limit, q.scale, 0, True)
-            continue
-        kept_points.append(x)
-
-    # a limit included through any route is included everywhere
-    included_limits = {q.limit for q in final if q.include_limit}
-    final = [SeqWithLimit(p, q.limit, q.scale, 0, q.limit in included_limits)
-             for q in final]
-    final.sort(key=lambda q: (q.limit, q.scale, not q.include_limit))
-    return PAdicSet(p, balls, kept_points, final)
+            # from index b.depth on the elements lie in b; keep the rest
+            points.update(q.element(n) for n in range(q.start, b.depth - sv))
+    seqs = []
+    for (c, unit), e in rays.items():
+        while e > 0 and member(c + unit * Fraction(p) ** (e - 1), whole):
+            e -= 1
+        seqs.append(SeqWithLimit(p, c, unit * Fraction(p) ** e, 0,
+                                 member(c, whole)))
+    seqs.sort(key=lambda q: (q.limit, q.scale))
+    kept = sorted(x for x in points
+                  if not _in_ball_union(x, balls)
+                  and not any(x == q.limit or q.element_index(x) is not None
+                              for q in seqs))
+    return PAdicSet(p, balls, kept, seqs)
 
 
 def sets_equal(a: PAdicSet, b: PAdicSet) -> bool:

@@ -10,7 +10,6 @@ Hensel certificates or provably root-free classes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,7 @@ from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .exact import (INFINITY, Rat, Valuation, is_finite, prime_divisors,
                     primes_below, vp)
-from .padic import Ball, PAdicSet, canonicalize, closure, member
+from .padic import Ball, PAdicSet, canonicalize, member
 
 
 @dataclass(frozen=True)
@@ -618,15 +617,14 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
     """(sup of vp(q(x)) over x in s, witness attaining it).
 
     The supremum is INFINITY exactly when q has a root in the closure of
-    the set; then the witness is None.  Otherwise the supremum is finite,
-    attained, and returned with an attaining element.
+    the set: at a point, a sequence element or limit, or in a ball, where
+    the root tree meets it.  Then the witness is None.  Otherwise the
+    supremum is finite, attained, and returned with an attaining element.
     """
     p = s.p
     s = canonicalize(s, config)
     if s.is_empty():
         raise PreconditionError("maximum valuation over the empty set")
-    if roots_in_set(q, closure(s), config):
-        return INFINITY, None
     best: Optional[int] = None
     witness: Optional[Fraction] = None
 
@@ -638,15 +636,15 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
     for x in s.points:
         v = vp(q.eval_at(x), p)
         if not is_finite(v):
-            raise InvariantError(f"{q} vanishes at the point {x}")
+            return INFINITY, None
         consider(v, x)
     for seq in s.seqs:
         seq = seq.normalized()
         shifted = RatPoly(q.coeffs).shifted(seq.limit)
-        b0 = shifted.coefficient(0)     # q(limit) != 0: no roots in closure
+        b0 = shifted.coefficient(0)
         v0 = vp(b0, p)
         if not is_finite(v0):
-            raise InvariantError(f"{q} vanishes at the limit {seq.limit}")
+            return INFINITY, None       # q(limit) = 0
         av = vp(seq.scale, p)
         stable = 0
         for i in range(1, shifted.degree + 1):
@@ -661,12 +659,12 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
         for n in range(0, max(stable, 0)):
             v = vp(q.eval_at(seq.element(n)), p)
             if not is_finite(v):
-                raise InvariantError(f"{q} vanishes at an element of {seq}")
+                return INFINITY, None
             consider(v, seq.element(n))
     for ball in s.balls:
         for event in _tree_events(q, ball, config):
             if event[0] != "dead":
-                raise PreconditionError("unexpected root during max valuation")
+                return INFINITY, None
             _, r, m, t = event
             consider(t, Fraction(r))
     if best is None:

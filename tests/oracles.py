@@ -18,6 +18,15 @@ from ivp.exact import rational_mod, vp
 from ivp.padic import Ball, PAdicSet, SeqWithLimit
 
 
+def brute_int_vp(n: int, p: int) -> int:
+    """vp of an integer n != 0 by dividing out one factor of p at a time."""
+    n, count = abs(n), 0
+    while n % p == 0:
+        n //= p
+        count += 1
+    return count
+
+
 def eval_int_poly(coeffs, x):
     acc = 0
     for c in reversed(coeffs):

@@ -243,6 +243,25 @@ def test_closures_differ_past_the_joint_residue_cap():
     assert closures_differ(e) == AdelicCandidate.diagonal(65, (2, 3, 5, 7))
 
 
+def test_closures_differ_skips_a_class_no_closure_ball_meets():
+    # no closure ball at 2 meets the even class, so 1 mod 55440 gives the
+    # witness without walking the 27720 lifts of 0 mod 2
+    e = IntegerSet.without_classes(Congruence(0, 2), Congruence(1, 55440))
+    w = closures_differ(e)
+    assert w == AdelicCandidate.diagonal(1, (2, 3, 5, 7, 11))
+    assert product_closure_member(e, w)
+    assert not adelic_closure_member(e, w)
+
+
+def test_closures_differ_steps_past_a_re_added_residue():
+    # 1 is re-added, so the witness is the next integer of its fold class
+    e = IntegerSet(excluded=(Congruence(1, 6),), extra=(1,))
+    w = closures_differ(e)
+    assert w == AdelicCandidate.diagonal(7, (2, 3))
+    assert product_closure_member(e, w)
+    assert not adelic_closure_member(e, w)
+
+
 def test_unobstructed_sets_report_no_difference():
     assert closures_differ(IntegerSet.all_integers()) is None
     assert closures_differ(IntegerSet.without_classes(Congruence(1, 4))) is None

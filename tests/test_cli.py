@@ -315,6 +315,26 @@ def test_no_assert_statements_in_the_library():
                     if isinstance(node, ast.Assert)], path.name
 
 
+def test_no_unused_imports_in_the_library():
+    # __init__.py re-exports by design, and names in __all__ count as used
+    for path in Path(ivp.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_isolated_output(capsys):
     code, payload, _ = run_json(capsys, "isolated", "--set",
                                 "seq(2; 0, 1, 0, +lim)")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_covers
+from oracles import brute_covers, brute_int_vp
 
 from ivp.config import Config
 from ivp.errors import PreconditionError, ResourceLimitError
@@ -22,18 +22,26 @@ from ivp.exact import (
 )
 
 
-def naive_vp(n: int, p: int) -> int:
-    count = 0
-    while n % p == 0:
-        n //= p
-        count += 1
-    return count
-
-
 @given(st.integers(-10**6, 10**6).filter(lambda n: n != 0),
        st.sampled_from([2, 3, 5, 7, 11]))
 def test_vp_matches_naive_division(n, p):
-    assert vp(n, p) == naive_vp(abs(n), p)
+    assert vp(n, p) == brute_int_vp(n, p)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 101]), st.integers(0, 300),
+       st.integers(1, 10 ** 40), st.booleans())
+def test_vp_ladder_matches_division_loop(p, v, u, negative):
+    # valuations up to 300, where the ladder of p^(2^i) has nine rungs
+    n = (-1) ** negative * u * p ** v
+    assert vp(n, p) == brute_int_vp(n, p)
+    assert vp(Fraction(u, n), p) == brute_int_vp(u, p) - brute_int_vp(n, p)
+
+
+def test_vp_of_large_powers():
+    assert vp(2 ** 100000, 2) == 100000
+    assert vp(7 * 3 ** 50000, 3) == 50000
+    assert vp(-(5 ** 300) * 101 ** 299, 101) == 299
 
 
 @given(st.fractions(max_denominator=500), st.fractions(max_denominator=500),

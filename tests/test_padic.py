@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PRIMES, p_integral, padic_sets, primes
+from conftest import PRIMES, p_integral, padic_sets, primes, seqs
 from oracles import (brute_in_closure, brute_member, meets_ball, probe_elements,
                      set_residues)
 
@@ -217,6 +217,72 @@ def test_same_limit_power_ratio_sequences_merge():
     assert len(canon.seqs) == 1
     for n in range(6):
         assert member(a.element(n), canon)
+
+
+def test_same_set_in_either_sequence_order():
+    # 1 is a point, 2 an element of the first ray: the ray towards 3 steps
+    # down through both, whichever sequence comes first
+    first, second = SeqWithLimit(2, 0, 2), SeqWithLimit(2, 3, -4)
+    a = PAdicSet(2, points=[1], seqs=[first, second])
+    b = PAdicSet(2, points=[1], seqs=[second, first])
+    assert canonicalize(a) == canonicalize(b)
+    assert sets_equal(a, b)
+    assert str(canonicalize(a)) == "seq(2; 0, 1, 0, +lim) | seq(2; 3, -1, 0, +lim)"
+
+
+def test_limit_held_by_another_sequence_is_included():
+    # 3 = 0 + 1*3^1 is an element of the first sequence, so the set is closed
+    held = SeqWithLimit(3, 0, 1)
+    s = PAdicSet(3, seqs=[held, SeqWithLimit(3, 3, -189, 0, include_limit=False)])
+    assert is_closed(s)
+    assert sets_equal(s, PAdicSet(3, seqs=[held, SeqWithLimit(3, 3, -189, 0)]))
+    assert all(q.include_limit for q in canonicalize(s).seqs)
+
+
+def test_deep_sibling_families_merge():
+    # 7^6 balls merge level by level into Z_7; one missing ball leaves its
+    # six siblings at each of the six depths
+    assert canonicalize(PAdicSet(7, [Ball(7, c, 6) for c in range(7 ** 6)])) == full_set(7)
+    short = canonicalize(PAdicSet(7, [Ball(7, c, 6) for c in range(1, 7 ** 6)]))
+    assert sorted({b.depth for b in short.balls}) == [1, 2, 3, 4, 5, 6]
+    assert len(short.balls) == 36 and not member(7 ** 6, short) and member(1, short)
+
+
+def _with_components(p, comps):
+    return PAdicSet(p, [c for c in comps if isinstance(c, Ball)],
+                    [c for c in comps if isinstance(c, Fraction)],
+                    [c for c in comps if isinstance(c, SeqWithLimit)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(padic_sets(), st.randoms(use_true_random=False), st.data())
+def test_canonical_form_depends_only_on_the_set(s, rnd, data):
+    if not s.is_empty() and data.draw(st.booleans()):
+        # a sequence converging to a member makes rays meet more often
+        q = data.draw(seqs(s.p))
+        limit = data.draw(st.sampled_from(list(some_elements(s))))
+        s = PAdicSet(s.p, s.balls, s.points, s.seqs + (
+            SeqWithLimit(s.p, limit, q.scale, q.start, q.include_limit),))
+    canon = canonicalize(s)
+    # the order of the components
+    comps = list(s.balls) + list(s.points) + list(s.seqs)
+    rnd.shuffle(comps)
+    assert canonicalize(_with_components(s.p, comps)) == canon
+    # presenting the canonical form again
+    assert canonicalize(canon) == canon
+    # listing a member once more, as a point
+    elems = list(some_elements(s))
+    if elems:
+        x = data.draw(st.sampled_from(elems))
+        assert canonicalize(PAdicSet(s.p, s.balls, s.points + (x,), s.seqs)) == canon
+    # including a limit that the set already holds
+    held = [i for i, q in enumerate(s.seqs) if member(q.limit, s)]
+    if held:
+        i = data.draw(st.sampled_from(held))
+        q = s.seqs[i]
+        closed = list(s.seqs)
+        closed[i] = SeqWithLimit(q.p, q.limit, q.scale, q.start, True)
+        assert canonicalize(PAdicSet(s.p, s.balls, s.points, closed)) == canon
 
 
 def test_str_roundtrip_shapes():

@@ -252,6 +252,35 @@ def test_max_valuation_bounds_and_attainment(s, coeffs):
         assert roots_in_set(q, closure(s)) != ()
 
 
+def test_max_valuation_meets_roots_off_the_balls():
+    # roots at an excluded limit, at a sequence element and at a point
+    powers = PAdicSet(2, seqs=[SeqWithLimit(2, 0, 1, 0, False)])    # 1, 2, 4, ...
+    assert max_valuation_witness(irr(0, 1), powers) == (INFINITY, None)
+    assert max_valuation_witness(irr(-4, 1), powers) == (INFINITY, None)
+    with_three = PAdicSet(2, points=[3], seqs=powers.seqs)
+    assert max_valuation_witness(irr(-3, 1), with_three) == (INFINITY, None)
+
+
+def test_max_valuation_walks_the_root_tree_once(monkeypatch):
+    import ivp.polys as polys
+
+    def no_prepass(*args, **kwargs):
+        raise AssertionError("roots_in_set called")
+    monkeypatch.setattr(polys, "roots_in_set", no_prepass)
+    assert max_valuation(irr(1, 0, 1), full_set(2)) == 1
+    assert max_valuation(irr(-17, 0, 1), full_set(2)) is INFINITY
+
+
+@settings(max_examples=50, deadline=None)
+@given(padic_sets(),
+       st.sampled_from([(3, 1), (-6, 1), (0, 1), (1, 0, 1), (-17, 0, 1), (-2, 0, 1)]))
+def test_max_valuation_is_infinite_exactly_at_a_root_of_the_closure(s, coeffs):
+    q = irr(*coeffs)
+    if not s.is_empty():
+        value = max_valuation(q, s)
+        assert (value is INFINITY) == bool(roots_in_set(q, closure(s)))
+
+
 def test_squarefree_resultant_is_computed_once(monkeypatch):
     import ivp.polys as polys
     calls = []
