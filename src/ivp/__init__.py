@@ -85,7 +85,6 @@ from .polys import (
     RootKind,
     max_valuation,
     max_valuation_witness,
-    rational_roots,
     resultant,
     roots_in_set,
 )

@@ -59,8 +59,7 @@ def _cmd_dense(args, config):
 
 
 def _cmd_isolated(args, config):
-    s = padic.canonicalize(dsl.parse_set(args.set, config), config)
-    iso = padic.isolated_points(s, config)
+    iso = padic.isolated_points(dsl.parse_set(args.set, config), config)
     payload = {
         "explicit": [str(x) for x in iso.explicit],
         "tails": [{"seq": str(t.seq), "from": t.from_n} for t in iso.tails],
@@ -102,7 +101,7 @@ def _cmd_maxval(args, config):
 
 
 def _cmd_intval(args, config):
-    f = dsl.parse_poly(args.poly)
+    f = dsl.parse_poly(args.poly, config)
     s = dsl.parse_set(args.set, config)
     return _bool_result(membership.is_integer_valued(f, s, config))
 

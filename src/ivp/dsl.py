@@ -18,6 +18,7 @@ above; parse_ring accepts either the JSON text itself or @path to a file.
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from fractions import Fraction
@@ -115,98 +116,76 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
 # polynomials
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[Xx]|\*\*|[()+\-*/^])")
+def parse_poly(text: str, config: Config = DEFAULT_CONFIG) -> RatPoly:
+    """Read a polynomial in X from ordinary expression syntax.
+
+    Python's own parser builds the tree ("^" is read as "**"); the walk
+    accepts decimal integers, X or x, unary + and -, +, -, *, division by
+    a nonzero constant and powers with a literal exponent.  It rejects any
+    product or power whose degree would exceed config.degree_cap before
+    computing it.
+    """
+    source = text.replace("^", "**").strip()
+    try:
+        return _poly_of(ast.parse(source, mode="eval").body, source,
+                        config.degree_cap)
+    except SyntaxError as exc:
+        raise ParseError(f"bad polynomial {text!r}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"polynomial nested too deeply: {text[:40]!r}...") from None
 
 
-def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character in polynomial: {text[pos:]!r}")
-            break
-        tok = m.group(1)
-        out.append("^" if tok == "**" else tok)
-        pos = m.end()
-    return out
+def _literal(node, source: str) -> int | None:
+    """The value of a decimal integer literal such as 12, else None
+    (rejects True, 1_000, 0x10 and floats)."""
+    if (isinstance(node, ast.Constant) and type(node.value) is int
+            and ast.get_source_segment(source, node).isdigit()):
+        return node.value
+    return None
 
 
-class _PolyParser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expr(self) -> RatPoly:
-        left = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            right = self.term()
-            left = left + right if op == "+" else left - right
-        return left
-
-    def term(self) -> RatPoly:
-        left = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            right = self.factor()
-            if op == "*":
-                left = left * right
-            else:
-                if right.degree > 0 or right.is_zero():
-                    raise ParseError("division only by nonzero constants")
-                left = left * RatPoly.constant(1 / right.eval_at(0))
-        return left
-
-    def factor(self) -> RatPoly:
-        if self.peek() == "-":
-            self.take()
-            return RatPoly.constant(-1) * self.factor()
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp = self.take()
-            if exp is None or not exp.isdigit():
-                raise ParseError("exponent must be a literal integer")
-            return base ** int(exp)
-        return base
-
-    def atom(self) -> RatPoly:
-        tok = self.take()
-        if tok == "(":
-            inner = self.expr()
-            if self.take() != ")":
-                raise ParseError("unbalanced parentheses")
-            return inner
-        if tok in ("X", "x"):
-            return RatPoly.x()
-        if tok is not None and tok.isdigit():
-            return RatPoly.constant(int(tok))
-        raise ParseError(f"unexpected token {tok!r} in polynomial")
+def _check_degree(degree: int, cap: int) -> None:
+    if degree > cap:
+        raise ParseError(f"degree {degree} exceeds cap {cap}")
 
 
-def parse_poly(text: str) -> RatPoly:
-    parser = _PolyParser(_tokenize(text))
-    poly = parser.expr()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input {parser.toks[parser.i:]!r}")
-    return poly
+def _poly_of(node, source: str, cap: int) -> RatPoly:
+    if isinstance(node, ast.Name) and node.id in ("X", "x"):
+        return RatPoly.x()
+    value = _literal(node, source)
+    if value is not None:
+        return RatPoly.constant(value)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        f = _poly_of(node.operand, source, cap)
+        return -f if isinstance(node.op, ast.USub) else f
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exponent = _literal(node.right, source)
+        if exponent is None:
+            raise ParseError("exponent must be a literal integer")
+        base = _poly_of(node.left, source, cap)
+        _check_degree(base.degree * exponent, cap)
+        return base ** exponent
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+        left = _poly_of(node.left, source, cap)
+        right = _poly_of(node.right, source, cap)
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
+        if isinstance(node.op, ast.Mult):
+            _check_degree(left.degree + right.degree, cap)
+            return left * right
+        if right.degree != 0:
+            raise ParseError("division only by nonzero constants")
+        return left * RatPoly.constant(1 / right.eval_at(0))
+    raise ParseError(
+        f"unexpected {ast.get_source_segment(source, node)!r} in polynomial")
 
 
 def parse_irreducible(text: str,
                       config: Config = DEFAULT_CONFIG) -> IrreduciblePoly:
-    return IrreduciblePoly.certify(parse_poly(text), config)
+    return IrreduciblePoly.certify(parse_poly(text, config), config)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
-from .exact import INFINITY, Rat, is_finite, rational_mod, vp
+from .exact import INFINITY, Rat, Valuation, is_finite, rational_mod, vp
 from .padic import PAdicSet, closure, member
 from .polys import IrreduciblePoly, RatPoly, max_valuation
 
@@ -256,14 +256,24 @@ def witness_rational_function(q: IrreduciblePoly, family: dict[int, PAdicSet],
     vp(q(x)) over its set; a root anywhere makes the supremum infinite and
     is reported as an error instead.
     """
-    exponents = []
+    valuations = {}
     for p in sorted(family):
         s = family[p]
         if s.p != p:
             raise PreconditionError(f"set at key {p} lives at prime {s.p}")
-        if s.is_empty():
-            continue
-        mv = max_valuation(q, s, config)
+        if not s.is_empty():
+            valuations[p] = max_valuation(q, s, config)
+    return witness_from_valuations(q, family, valuations)
+
+
+def witness_from_valuations(q: IrreduciblePoly, family: dict[int, PAdicSet],
+                            valuations: dict[int, Valuation]
+                            ) -> WitnessRationalFunction:
+    """The witness N/q from the suprema of vp(q) over the nonempty sets
+    of the family, already computed by the caller."""
+    exponents = []
+    for p in sorted(valuations):
+        mv = valuations[p]
         if not is_finite(mv):
             raise PreconditionError(
                 f"{q} has a root in the set at prime {p}; no witness exists")

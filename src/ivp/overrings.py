@@ -27,14 +27,14 @@ from .config import DEFAULT_CONFIG, Config
 from .errors import (InvariantError, PreconditionError, ResourceLimitError,
                      UnsupportedComparisonError)
 from .exact import (Congruence, Rat, check_prime_arg, covers, is_finite,
-                    is_prime, prime_divisors, vp)
-from .membership import is_integer_valued, witness_rational_function, WitnessRationalFunction
+                    is_prime, prime_divisors)
+from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
 from .padic import (DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
                     canonicalize, closure, full_set, instantiate,
                     is_closed, is_subset, isolated_points, member,
                     remove_isolated_point, sets_equal,
                     EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE)
-from .polys import IrreduciblePoly, RatPoly, roots_in_set
+from .polys import IrreduciblePoly, RatPoly, max_valuation, roots_in_set
 
 __all__ = [
     "Decision", "TriState", "RingSpec", "Representation", "RingOfResult",
@@ -489,10 +489,13 @@ def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
     is no, with that witness attached.
     """
     window = dict(spec.exceptional)
+    valuations = {}
     for p, f_p in window.items():
         if f_p.is_empty():
             continue
-        if roots_in_set(q, f_p, config):
+        # the sets are closed, so an infinite supremum is a root in the set
+        valuations[p] = max_valuation(q, f_p, config)
+        if not is_finite(valuations[p]):
             return TriState.yes(f"root inside the set at {p}")
     rule = spec.default
     kind = rule.kind
@@ -527,7 +530,9 @@ def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
     family = {p: s for p, s in window.items() if not s.is_empty()}
     for p in tail_primes:
         family[p] = instantiate(rule, p, config)
-    witness = witness_rational_function(q, family, config)
+        if not family[p].is_empty():
+            valuations[p] = max_valuation(q, family[p], config)
+    witness = witness_from_valuations(q, family, valuations)
     return TriState.no("finitely many finite contributions", payload=witness)
 
 
@@ -827,7 +832,7 @@ def is_simple_integer_set_ring(r: RingSpec,
         e = _crt_integer_set(r, config)
         return (TriState.yes("congruence classes assemble by CRT"),
                 SimpleWitness(str(e), e))
-    if all(_finite_integer_part(r.local_set(p, config)) is not None
+    if all(_finitely_many_integers(r.local_set(p, config), config)
            for p in window):
         # candidate integers are finitely many, never dense in a full tail
         return (TriState.no(
@@ -842,50 +847,38 @@ def _balls_only(s: PAdicSet) -> bool:
     return not s.points and not s.seqs and bool(s.balls)
 
 
-def _finite_integer_part(s: PAdicSet) -> Optional[tuple[int, ...]]:
-    """The integers in the set when provably finitely many, else None."""
-    if s.balls:
-        return None
-    out = set()
-    for x in s.points:
-        if x.denominator == 1:
-            out.add(int(x))
-    for seq in s.seqs:
-        hits = _seq_integer_indices(seq)
-        if hits is None:
-            return None
-        for n in hits:
-            out.add(int(seq.element(n)))
-        if seq.include_limit and seq.limit.denominator == 1:
-            out.add(int(seq.limit))
-    return tuple(sorted(out))
+def _finitely_many_integers(s: PAdicSet, config: Config) -> bool:
+    """Does the set hold only finitely many integers?  Points are finite,
+    a ball holds infinitely many, and so does a sequence with one
+    integer element (see _seq_meets_integers)."""
+    return not s.balls and not any(_seq_meets_integers(q, config)
+                                   for q in s.seqs)
 
 
-def _seq_integer_indices(seq: SeqWithLimit) -> Optional[tuple[int, ...]]:
-    """Indices with integer elements, when finitely many; None otherwise.
+def _seq_meets_integers(seq: SeqWithLimit, config: Config) -> bool:
+    """Is some element of the sequence an integer?
 
-    Once the power of p has cleared the p-part of the scale's denominator
-    the fractional parts of the elements cycle with a period dividing the
-    remaining denominators, so an exact cycle scan decides whether hits
-    recur forever or stop.
+    With limit = c/e, the scale a/d taken at start 0, and p prime to
+    both e and d, element n is an integer iff c*d + r_n = 0 mod e*d for
+    the residue r_n = a*e*p^n.  Multiplying by p is invertible mod e*d,
+    so r_n cycles from n = 0 on: an integer element recurs forever if
+    there is one, and one cycle of r decides, in at most residue_cap
+    steps.
     """
     seq = seq.normalized()
-    p = seq.p
-    start_of_cycle = vp(Fraction(seq.scale).denominator, p)
-    if not is_finite(start_of_cycle):
-        raise InvariantError(f"{seq} has scale zero")
-    hits = [n for n in range(start_of_cycle)
-            if seq.element(n).denominator == 1]
-    seen: dict[Fraction, int] = {}
-    n = start_of_cycle
-    while True:
-        frac = seq.element(n) % 1
-        if frac in seen:
-            return tuple(hits)          # full cycle without an integer
-        if frac == 0:
-            return None                 # recurs with the cycle: infinite
-        seen[frac] = n
-        n += 1
+    c, e = seq.limit.numerator, seq.limit.denominator
+    a, d = seq.scale.numerator, seq.scale.denominator
+    modulus = e * d
+    first = r = a * e % modulus
+    for _ in range(config.residue_cap):
+        if (c * d + r) % modulus == 0:
+            return True
+        r = r * seq.p % modulus
+        if r == first:
+            return False
+    raise ResourceLimitError(
+        f"integer elements of {seq}: the fractional parts do not cycle "
+        f"within {config.residue_cap} steps", None, config.residue_cap)
 
 
 def _crt_integer_set(r: RingSpec, config: Config) -> IntegerSet:

@@ -417,7 +417,7 @@ def isolated_points(s: PAdicSet, config: Config = DEFAULT_CONFIG) -> IsolatedPoi
     Limits of sequences are never isolated.
     """
     s = canonicalize(s, config)
-    if canonicalize(closure(s), config) != s:
+    if closure(s) != s:
         raise PreconditionError("isolated_points expects a closed set")
     explicit = list(s.points)
     tails = []

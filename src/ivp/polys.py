@@ -2,10 +2,10 @@
 
 RatPoly keeps an integer coefficient vector plus a positive denominator
 with no common factor, so every evaluation is exact.  Root finding inside
-a representable p-adic set combines the rational root that an
-irreducible polynomial has at degree 1 (for the countable components)
-with a residue-lifting tree over balls whose branches terminate in
-Hensel certificates or provably root-free classes.
+a representable p-adic set takes the rational root that an irreducible
+polynomial has at degree 1 in closed form, and walks a residue-lifting
+tree over balls at higher degrees, whose branches terminate in Hensel
+certificates or provably root-free classes.
 """
 
 from __future__ import annotations
@@ -216,51 +216,49 @@ class CertificateKind(Enum):
     CALLER_ASSERTED = "caller-asserted"
 
 
-def _divisors(n: int, cap: int = 1 << 22) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    if n > cap ** 2:
-        raise ResourceLimitError(f"cannot enumerate divisors of {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _horner(coeffs: Sequence[int], x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def rational_roots(coeffs: Sequence[int]) -> tuple[Fraction, ...]:
-    """All rational roots of an integer polynomial (exact, exhaustive)."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        raise PreconditionError("zero polynomial has every root")
-    roots = []
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
-    if low > 0:
-        roots.append(Fraction(0))
-        coeffs = coeffs[low:]
-    a0, an = coeffs[0], coeffs[-1]
-    seen = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return tuple(sorted(roots))
+def _has_rational_root(c: Sequence[int]) -> bool:
+    """Whether a primitive integer quadratic or cubic has a rational root.
+
+    Degree 2: iff the discriminant is a square.  Degree 3: x is a root of
+    f iff y = a3*x is a root of the monic g(y) = a3^2 * f(y / a3), whose
+    rational roots are integers.  g increases up to its first critical
+    point, decreases to the second and increases after it; cut at the
+    integer floors of those points, each piece is monotone and one
+    integer bisection per piece finds any root below the Cauchy bound.
+    """
+    if len(c) == 3:
+        disc = c[1] * c[1] - 4 * c[0] * c[2]
+        return disc >= 0 and math.isqrt(disc) ** 2 == disc
+    a0, a1, a2, a3 = c
+    g = (a0 * a3 * a3, a1 * a3, a2, 1)
+    bound = 1 + max(abs(x) for x in g)
+    cuts = []
+    disc = a2 * a2 - 3 * a1 * a3        # g'(y) = 3y^2 + 2*a2*y + a1*a3
+    if disc >= 0:
+        s = math.isqrt(disc)
+        ceil_s = s if s * s == disc else s + 1
+        cuts = [(-a2 - ceil_s) // 3, (-a2 + s) // 3]
+    edges = [-bound - 1, *cuts, bound]
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        sign = -1 if i % 2 else 1       # g decreases on the middle piece
+        lo += 1                         # the piece is lo..hi inclusive
+        top = hi
+        while lo < hi:                  # least y with sign * g(y) >= 0
+            mid = (lo + hi) // 2
+            if sign * _horner(g, mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo <= top and _horner(g, lo) == 0:
+            return True
+    return False
 
 
 def _mod_poly_mul(a, b, mod_poly, ell):
@@ -374,15 +372,16 @@ class IrreduciblePoly:
         """Prove irreducibility over Q, or raise.
 
         Degree 1 is immediate; degrees 2 and 3 reduce to the rational root
-        test; higher degrees search for a prime modulo which the reduction
-        stays irreducible with the same degree.
+        test, decided exactly by _has_rational_root; higher degrees search
+        for a prime modulo which the reduction stays irreducible with the
+        same degree.
         """
         coeffs = _primitive_part(poly, config)
         d = len(coeffs) - 1
         if d == 1:
             return cls(coeffs, CertificateKind.DEGREE_ONE)
         if d <= 3:
-            if rational_roots(coeffs):
+            if _has_rational_root(coeffs):
                 raise PreconditionError(f"{poly} has a rational root")
             return cls(coeffs, CertificateKind.NO_RATIONAL_ROOT)
         for ell in primes_below(config.prime_scan_bound):
@@ -423,17 +422,15 @@ class IrreduciblePoly:
             return None
         return Fraction(-self.coeffs[0], self.coeffs[1])
 
+    @cached_property
+    def derivative_coeffs(self) -> tuple[int, ...]:
+        return self.as_ratpoly().derivative().coeffs
+
     def eval_at(self, x: Rat) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, Fraction(x))
 
     def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def __str__(self):
         return str(RatPoly(self.coeffs))
@@ -489,36 +486,28 @@ class RootCertificate:
                     and self.ball.contains(self.value))
         # Newton criterion at the recorded center, relative to the ball depth
         tv = vp(q.eval_int(self.center), p)
-        sv = vp(_derivative_int(q).eval_int(self.center), p)
-        return (tv == self.q_val and sv == self.dq_val and is_finite(tv)
+        sv = vp(_horner(q.derivative_coeffs, self.center), p)
+        return (tv == self.q_val and sv == self.dq_val
                 and sv < self.ball.depth and tv >= self.ball.depth + sv)
 
 
-def _derivative_int(q: IrreduciblePoly) -> IrreduciblePoly:
-    # not necessarily irreducible; reuse the evaluation helpers only
-    coeffs = tuple(i * c for i, c in enumerate(q.coeffs))[1:]
-    obj = object.__new__(IrreduciblePoly)
-    object.__setattr__(obj, "coeffs", coeffs)
-    object.__setattr__(obj, "certificate", CertificateKind.CALLER_ASSERTED)
-    object.__setattr__(obj, "witness_prime", None)
-    return obj
-
-
 def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
-    """Walk residue classes inside the ball, yielding per-class facts.
+    """Walk residue classes inside the ball, yielding (r, m, t, s) per
+    class r mod p^m that ends the walk, with t = vp(q(r)).
 
-    Yields ("dead", r, m, t)   : vp(q(x)) = t < m for every x = r mod p^m,
-           ("exact", r, m, s)  : r is a root, unique in its class,
-           ("hensel", r, m, t, s): unique (irrational or unrecognized) root
-                                   in the class, by the Newton criterion.
-    Termination relies on q squarefree: vp(resultant(q, q')) caps the depth.
+    s is None for a dead class: vp(q(x)) = t < m for every x in it.
+    Otherwise s = vp(q'(r)) and the Newton criterion s < m, t >= m + s
+    holds, so q has exactly one root in the class; t is INFINITY when r
+    itself is that root.
+    Termination relies on q squarefree: vp(resultant(q, q')) caps the
+    depth, and no r is a root of both q and q'.
     """
     p = ball.p
     if q.squarefree_resultant == 0:
         raise PreconditionError(f"{q} is not squarefree")
     rv = vp(q.squarefree_resultant, p)
     depth_cap = ball.depth + 2 * rv + 8
-    dq = _derivative_int(q)
+    dq = q.derivative_coeffs
     stack = [(ball.center, ball.depth)]
     visited = 0
     while stack:
@@ -528,23 +517,14 @@ def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
             raise ResourceLimitError(
                 f"root scan visited over {config.residue_cap} classes",
                 visited, config.residue_cap)
-        fr = q.eval_int(r)
-        if fr == 0:
-            s = vp(dq.eval_int(r), p)
-            if not is_finite(s):
-                raise PreconditionError(f"{q} has a repeated root at {r}")
-            if m >= s + 1:
-                yield ("exact", r, m, s)
-                continue
-        else:
-            t = vp(fr, p)
-            if t < m:
-                yield ("dead", r, m, t)
-                continue
-            s = vp(dq.eval_int(r), p)
-            if is_finite(s) and s < m and t >= m + s:
-                yield ("hensel", r, m, t, s)
-                continue
+        t = vp(q.eval_int(r), p)
+        if t < m:
+            yield r, m, t, None
+            continue
+        s = vp(_horner(dq, r), p)
+        if s < m and t >= m + s:
+            yield r, m, t, s
+            continue
         if m >= depth_cap:
             raise ResourceLimitError(
                 f"root scan exceeded depth {depth_cap} at class {r} mod {p}^{m}",
@@ -558,53 +538,30 @@ def roots_in_set(q: IrreduciblePoly, s: PAdicSet,
                  config: Config = DEFAULT_CONFIG) -> tuple[RootCertificate, ...]:
     """Every root of q inside the set, each with a checkable certificate.
 
-    Points, sequence elements and limits are rational, so roots there are
-    q's rational root, which irreducibility leaves only at degree 1; balls
-    are scanned by the residue-lifting tree.  The returned list is
-    complete.
+    At degree 1 the root -a0/a1 is rational and counts when it is a
+    member; its ball is the deeper of vp(a1) + 1, where Hensel's bound
+    isolates it, and the canonical ball that holds it.  Above degree 1
+    irreducibility leaves no rational root, so points, sequence elements
+    and limits hold none and the residue-lifting tree over the balls
+    certifies each root.  The returned list is complete.
     """
     p = s.p
     s = canonicalize(s, config)
-    dq = _derivative_int(q)
-    root = q.rational_root()
-    q_rationals = [root] if root is not None and vp(root, p) >= 0 else []
-    certs: list[RootCertificate] = []
-    covered_rationals: set[Fraction] = set()
-
-    for ball in s.balls:
-        for event in _tree_events(q, ball, config):
-            if event[0] == "dead":
-                continue
-            if event[0] == "exact":
-                _, r, m, sv = event
-                certs.append(RootCertificate(
-                    RootKind.EXACT_RATIONAL, Ball(p, r, m), r,
-                    INFINITY, sv, Fraction(r)))
-                covered_rationals.add(Fraction(r))
-                continue
-            _, r, m, tv, sv = event
-            # a certified class may still hold a rational root; recognize it
-            found = next((x for x in q_rationals if Ball(p, r, m).contains(x)),
-                         None)
-            if found is not None:
-                certs.append(RootCertificate(
-                    RootKind.EXACT_RATIONAL, Ball(p, r, m), r, tv, sv, found))
-                covered_rationals.add(found)
-            else:
-                certs.append(RootCertificate(
-                    RootKind.HENSEL, Ball(p, r, m), r, tv, sv))
-
-    for root in q_rationals:
-        if root in covered_rationals or not member(root, s):
-            continue
-        sv = vp(dq.eval_at(root), p)
-        if not is_finite(sv):
-            raise PreconditionError(f"{q} has a repeated root at {root}")
-        depth = sv + 1
-        ball = Ball(p, root, depth)
-        certs.append(RootCertificate(
-            RootKind.EXACT_RATIONAL, ball, ball.center, INFINITY, sv, root))
-    certs.sort(key=lambda c: (c.ball.depth, c.ball.center, c.kind.value))
+    if q.degree == 1:
+        root = q.rational_root()
+        if vp(root, p) < 0 or not member(root, s):
+            return ()
+        sv = vp(q.coeffs[1], p)
+        held = next((b for b in s.balls if b.contains(root)), None)
+        ball = Ball(p, root, sv + 1 if held is None else max(sv + 1, held.depth))
+        tv = INFINITY if held is None else vp(q.eval_int(ball.center), p)
+        return (RootCertificate(RootKind.EXACT_RATIONAL, ball, ball.center,
+                                tv, sv, root),)
+    certs = [RootCertificate(RootKind.HENSEL, Ball(p, r, m), r, tv, sv)
+             for ball in s.balls
+             for r, m, tv, sv in _tree_events(q, ball, config)
+             if sv is not None]
+    certs.sort(key=lambda c: (c.ball.depth, c.ball.center))
     return tuple(certs)
 
 
@@ -662,10 +619,9 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
                 return INFINITY, None
             consider(v, seq.element(n))
     for ball in s.balls:
-        for event in _tree_events(q, ball, config):
-            if event[0] != "dead":
+        for r, _, t, sv in _tree_events(q, ball, config):
+            if sv is not None:
                 return INFINITY, None
-            _, r, m, t = event
             consider(t, Fraction(r))
     if best is None:
         raise InvariantError("maximum valuation over no component")

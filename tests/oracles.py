@@ -158,6 +158,66 @@ def root_residues(coeffs, p: int, k: int) -> set[int]:
     return {r for r in range(mod) if eval_int_poly(coeffs, r) % mod == 0}
 
 
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0 by trial division up to sqrt(|n|)."""
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def rational_roots(coeffs) -> tuple[Fraction, ...]:
+    """All rational roots of an integer polynomial: every +-a/b with a
+    dividing the lowest nonzero coefficient and b the leading one."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        raise PreconditionError("zero polynomial has every root")
+    roots = []
+    low = 0
+    while coeffs[low] == 0:
+        low += 1
+    if low > 0:
+        roots.append(Fraction(0))
+        coeffs = coeffs[low:]
+    seen = set()
+    for num in _divisors(coeffs[0]):
+        for den in _divisors(coeffs[-1]):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if cand not in seen:
+                    seen.add(cand)
+                    if eval_int_poly(coeffs, cand) == 0:
+                        roots.append(cand)
+    return tuple(sorted(roots))
+
+
+def seq_integer_indices(seq: SeqWithLimit):
+    """Indices n with an integer element, when finitely many; None when
+    they recur forever.  Scans the fractional parts of the elements past
+    the p-part of the scale's denominator until one repeats."""
+    seq = seq.normalized()
+    start_of_cycle = vp(Fraction(seq.scale).denominator, seq.p)
+    hits = [n for n in range(start_of_cycle)
+            if seq.element(n).denominator == 1]
+    seen = set()
+    n = start_of_cycle
+    while True:
+        frac = seq.element(n) % 1
+        if frac in seen:
+            return tuple(hits)
+        if frac == 0:
+            return None
+        seen.add(frac)
+        n += 1
+
+
 def brute_max_valuation_lower_bound(q_coeffs, s: PAdicSet, depth: int):
     """max vp(q(x)) over a finite probe of s (every residue the set hits
     mod p^depth is represented by an actual element).  A certified lower

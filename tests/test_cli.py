@@ -250,6 +250,13 @@ def test_parse_errors_exit_1(capsys):
     assert code == 1 and "error" in err
     code, _, err = run(capsys, "ring-eq", "--r1", "not json", "--r2", RING_INT)
     assert code == 1 and "error" in err
+    # the degree cap applies while the text is read, before any expansion
+    code, out, err = run(capsys, "intval", "--poly", "(X+1)^3000/2",
+                         "--set", "full(2)")
+    assert code == 1 and out == "" and err == "error: degree 3000 exceeds cap 64\n"
+    code, out, _ = run(capsys, "--degree-cap", "100", "intval",
+                       "--poly", "(X+1)^100/2", "--set", "full(2)")
+    assert code == 0 and out.strip() == "no"
 
 
 def test_resource_cap_exit_1(capsys):
@@ -341,3 +348,24 @@ def test_isolated_output(capsys):
     assert code == 0
     assert payload["explicit"] == []
     assert len(payload["tails"]) == 1 and payload["tails"][0]["from"] == 0
+
+
+def test_isolated_canonicalizes_twice(monkeypatch, capsys):
+    calls = []
+    canonicalize = padic.canonicalize
+
+    def counted(*args):
+        calls.append(1)
+        return canonicalize(*args)
+    monkeypatch.setattr(padic, "canonicalize", counted)
+    code, out, _ = run(capsys, "isolated", "--set", "seq(2; 0, 1, 0, +lim)")
+    assert code == 0 and out.startswith("explicit: (none)")
+    assert len(calls) == 2
+
+
+def test_simple_scans_one_fraction_cycle_under_the_residue_cap(capsys):
+    ring = '{"exceptional": {"2": "seq(2; 0, 1/1000003, 0, +lim)"}, "default": "full"}'
+    code, out, _ = run(capsys, "simple", "--ring", ring)
+    assert code == 0 and out.startswith("no (only finitely many integers")
+    code, _, err = run(capsys, "--residue-cap", "1000", "simple", "--ring", ring)
+    assert code == 1 and "seq(2; 0, 1/1000003, 0, +lim)" in err

@@ -26,6 +26,7 @@ from ivp.dsl import (
     parse_rule,
     parse_set,
 )
+from ivp.config import DEFAULT_CONFIG
 from ivp.errors import PreconditionError
 from ivp.exact import Congruence
 from ivp.overrings import Representation, RingSpec, ring_equal
@@ -106,9 +107,23 @@ def test_parse_poly_frozen():
 
 
 def test_parse_poly_errors():
-    for bad in ("X/X", "1/0", "X^y", "X + ", "(X", "X ~ 2", "X) ("):
+    for bad in ("X/X", "1/0", "X^y", "X + ", "(X", "X ~ 2", "X) (",
+                "1_000", "0x10", "True", "1.5", "X^-1", "X^(1+1)", "X // 2",
+                "(X+1)^3000", "(X^64)^64", "X^64 * X"):
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+def test_parse_poly_degree_cap_comes_from_the_config():
+    assert parse_poly("(X^8)^8").degree == 64
+    with pytest.raises(ParseError, match="exceeds cap 64"):
+        parse_poly("X^65")
+    tight = DEFAULT_CONFIG.with_overrides(degree_cap=4)
+    assert parse_poly("(X^2 + 1)^2", tight).degree == 4
+    with pytest.raises(ParseError, match="exceeds cap 4"):
+        parse_poly("(X^2 + 1)*(X^3 + 1)", tight)
+    with pytest.raises(ParseError):
+        parse_irreducible("X^5 + X + 3", tight)
 
 
 @given(rational_polys())

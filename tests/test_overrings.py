@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import padic_sets
-from oracles import is_all_integers, probe_elements
+from oracles import is_all_integers, probe_elements, seq_integer_indices
 
 from ivp.adelic import IntegerSet
 from ivp.config import DEFAULT_CONFIG
-from ivp.errors import PreconditionError
+from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import Congruence, primes_below, vp
 from ivp.membership import is_integer_valued
 from ivp.overrings import (
@@ -41,6 +41,7 @@ from ivp.overrings import (
     superfluous_unitary,
     unitary_contains,
 )
+from ivp.overrings import _seq_meets_integers
 from ivp.padic import (
     Ball,
     EMPTY_RULE,
@@ -357,6 +358,23 @@ def test_nonunitary_contains_frozen():
     assert out.is_no and out.payload is not None
 
 
+def test_nonunitary_contains_walks_each_root_tree_once(monkeypatch):
+    import ivp.polys as polys
+    walks = []
+    tree_events = polys._tree_events
+
+    def counted(q, ball, config):
+        walks.append(ball.p)
+        return tree_events(q, ball, config)
+    monkeypatch.setattr(polys, "_tree_events", counted)
+    rep = Representation({2: full_set(2), 3: full_set(3), 5: full_set(5)},
+                         EMPTY_RULE)
+    verdict = nonunitary_contains(rep, irr(-2, 0, 1))
+    assert verdict.is_no and str(verdict.payload) == "2/(X^2 - 2)"
+    assert verdict.reason == "finitely many finite contributions"
+    assert sorted(walks) == [2, 3, 5]
+
+
 def test_nonunitary_contains_listed_and_all_min():
     rep = Representation({}, single_power_rule(1),
                          nonunitary=[irr(-1, 1)])
@@ -465,6 +483,28 @@ def test_simple_congruence_ring_witness_validates():
     from ivp.adelic import closure_in_zp
     for p in r.window() or (2,):
         assert sets_equal(closure_in_zp(w, p), r.local_set(p))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([2, 3, 5]), st.integers(-40, 40), st.integers(1, 30),
+       st.integers(-30, 30).filter(bool), st.integers(1, 30),
+       st.integers(0, 2), st.integers(0, 2), st.booleans())
+def test_seq_integer_test_matches_the_fraction_scan(p, c, e, a, d, k, extra,
+                                                    include):
+    if e % p == 0 or d % p == 0:
+        return
+    seq = SeqWithLimit(p, Fraction(c, e), Fraction(a, d * p ** k), k + extra,
+                       include)
+    scanned = seq_integer_indices(seq)
+    assert scanned in (None, ())     # integer elements never stop once seen
+    assert _seq_meets_integers(seq, DEFAULT_CONFIG) == (scanned is None)
+
+
+def test_seq_integer_test_is_capped():
+    seq = SeqWithLimit(2, 0, Fraction(1, 1000003))
+    assert not _seq_meets_integers(seq, DEFAULT_CONFIG)
+    with pytest.raises(ResourceLimitError, match=r"seq\(2; 0, 1/1000003"):
+        _seq_meets_integers(seq, DEFAULT_CONFIG.with_overrides(residue_cap=1000))
 
 
 # ---------------------------------------------------------------------------

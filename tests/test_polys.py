@@ -14,20 +14,22 @@ from oracles import (
     brute_max_valuation_lower_bound,
     meets_ball,
     probe_elements,
+    rational_roots,
     root_residues,
 )
 
 from ivp.config import DEFAULT_CONFIG
 from ivp.errors import PreconditionError
 from ivp.exact import INFINITY, is_finite, vp
-from ivp.padic import Ball, PAdicSet, SeqWithLimit, closure, full_set, member, point_set
+from ivp.padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
+                       full_set, member, point_set)
 from ivp.polys import (
+    CertificateKind,
     IrreduciblePoly,
     RatPoly,
     RootKind,
     max_valuation,
     max_valuation_witness,
-    rational_roots,
     resultant,
     roots_in_set,
 )
@@ -125,6 +127,55 @@ def test_certify_rejects_reducibles():
         irr(5)                                  # constants are not allowed
 
 
+def _cubic_or_quadratic(data, planted: bool) -> list[int]:
+    """Coefficients, low to high, of an integer quadratic or cubic whose
+    middle coefficients reach 2^40 while the end ones stay small enough
+    for the divisor oracle; a planted one has the factor b*X - a."""
+    degree = data.draw(st.sampled_from([2, 3]))
+    small = st.integers(-2 ** 6, 2 ** 6).filter(bool)
+    big = st.integers(-2 ** 40, 2 ** 40)
+    if not planted:
+        ends = st.integers(-2 ** 12, 2 ** 12)
+        return ([data.draw(ends)] + [data.draw(big) for _ in range(degree - 1)]
+                + [data.draw(ends.filter(bool))])
+    a, b = data.draw(small), data.draw(small)
+    g = ([data.draw(small)] + [data.draw(big) for _ in range(degree - 2)]
+         + [data.draw(small)])
+    out = [0] * (degree + 1)
+    for i, c in enumerate(g):
+        out[i] -= a * c
+        out[i + 1] += b * c
+    return out
+
+
+@settings(deadline=None)
+@given(st.data(), st.booleans())
+def test_certify_finds_a_rational_root_exactly_when_the_oracle_does(data, planted):
+    coeffs = _cubic_or_quadratic(data, planted)
+    if planted:
+        assert rational_roots(coeffs)
+    if rational_roots(coeffs):
+        with pytest.raises(PreconditionError, match="has a rational root"):
+            IrreduciblePoly.certify(RatPoly(coeffs))
+    else:
+        q = IrreduciblePoly.certify(RatPoly(coeffs))
+        assert q.certificate is CertificateKind.NO_RATIONAL_ROOT
+
+
+def test_certify_decides_large_quadratics_and_cubics():
+    # 2^40 + 15 and the Mersenne primes 2^61 - 1 and 2^89 - 1 are beyond
+    # the reach of a divisor listing
+    for coeffs in [(-3, 0, 2 ** 40 + 15), (-3, 0, 0, 2 ** 40 + 15),
+                   (-(2 ** 61 - 1), 0, 1), (-(2 ** 89 - 1), 0, 0, 1)]:
+        q = irr(*coeffs)
+        assert q.certificate is CertificateKind.NO_RATIONAL_ROOT
+    big = 2 ** 61 - 1
+    for coeffs in [(-big * big, 0, 1), (-(big ** 3), 0, 0, 1),
+                   (-3, 2 ** 40 + 15, -3, 2 ** 40 + 15)]:   # (aX - 3)(X^2 + 1)
+        with pytest.raises(PreconditionError, match="has a rational root"):
+            irr(*coeffs)
+
+
 def test_certify_clears_denominators():
     q = IrreduciblePoly.certify(P(Fraction(1, 2), 0, Fraction(1, 2)))
     assert q.coeffs == (1, 0, 1)
@@ -196,6 +247,29 @@ def test_roots_against_residue_enumeration(coeffs, p):
     # no solutions at all means no certificates
     if not sols:
         assert certs == ()
+
+
+@settings(max_examples=60)
+@given(padic_sets(), st.sampled_from([1, 2, 3, 4, 6, 9, 25, -5]),
+       st.data())
+def test_degree_one_root_certificates(s, a1, data):
+    # the root is drawn from the set's own elements half of the time
+    elements = probe_elements(s, 3)
+    if elements and data.draw(st.booleans()):
+        root = Fraction(data.draw(st.sampled_from(elements)))
+    else:
+        root = Fraction(data.draw(st.integers(-30, 30)),
+                        data.draw(st.sampled_from([1, 2, 3])))
+    q = IrreduciblePoly.certify(RatPoly.from_fractions([-a1 * root, a1]))
+    certs = roots_in_set(q, s)
+    if vp(root, s.p) < 0 or not member(root, s):
+        assert certs == ()
+        return
+    (cert,) = certs
+    assert cert.kind is RootKind.EXACT_RATIONAL and cert.value == root
+    assert cert.revalidate(q)
+    held = [b.depth for b in canonicalize(s).balls if b.contains(root)]
+    assert cert.ball.depth == max([vp(q.coeffs[1], s.p) + 1] + held)
 
 
 @settings(max_examples=40)
