@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
+import sys
 from fractions import Fraction
 
 from .adelic import AdelicCandidate, IntegerSet
@@ -64,6 +66,18 @@ def _args(body: str) -> list[str]:
     return [a for a in parts if a]
 
 
+def _check_printable(factor: Fraction, p: int, exponent: int, what: str) -> None:
+    """Reject factor * p^exponent, before forming it, when its numerator
+    would pass the interpreter's limit on printing integers: a set built
+    from it could be computed but never written out."""
+    limit = sys.get_int_max_str_digits()
+    digits = (math.log10(abs(factor.numerator))
+              + max(exponent, 0) * math.log10(p))
+    if limit and digits > limit:
+        raise ParseError(f"{what} has about {digits:.0f} digits, over the "
+                         f"{limit}-digit limit on printing integers")
+
+
 def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
     balls, points, seqs = [], [], []
     prime = None
@@ -90,9 +104,12 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
             if len(rest) != 4 or rest[3] not in ("+lim", "-lim"):
                 raise ParseError(
                     "seq takes (p; limit, scale, start, +lim|-lim)")
-            seqs.append(SeqWithLimit(p, parse_rational(rest[0]),
-                                     parse_rational(rest[1]), int(rest[2]),
-                                     rest[3] == "+lim"))
+            seq = SeqWithLimit(p, parse_rational(rest[0]),
+                               parse_rational(rest[1]), int(rest[2]),
+                               rest[3] == "+lim")
+            _check_printable(seq.scale, p, seq.start,
+                             f"sequence scale {seq.scale}*{p}^{seq.start}")
+            seqs.append(seq)
         elif name == "full":
             balls.append(Ball(p, 0, 0))
         elif name == "empty":
@@ -104,7 +121,9 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
         elif name == "power":
             if len(rest) != 1:
                 raise ParseError("power takes (p; exponent)")
-            points.append(Fraction(p) ** int(rest[0]))
+            exponent = int(rest[0])
+            _check_printable(Fraction(1), p, exponent, f"{p}^{exponent}")
+            points.append(Fraction(p) ** exponent)
         else:
             raise ParseError(f"unknown set component {name!r}")
     if prime is None:

@@ -5,7 +5,12 @@ with no common factor, so every evaluation is exact.  Root finding inside
 a representable p-adic set takes the rational root that an irreducible
 polynomial has at degree 1 in closed form, and walks a residue-lifting
 tree over balls at higher degrees, whose branches terminate in Hensel
-certificates or provably root-free classes.
+certificates or in dead classes on which vp(q) is constant.  Each live
+class r mod p^m has as children only the roots mod p of q(r + p^m*Y),
+divided by the p-power of its content; they are found by a gcd with
+Y^p - Y and equal-degree splitting over F_p (Berthomieu, Lecerf and
+Quintin, AAECC 24, 2013), so a level costs O(deg q) classes and O(log p)
+polynomial products, not p evaluations.
 """
 
 from __future__ import annotations
@@ -93,13 +98,8 @@ class RatPoly:
 
     def shifted(self, center: Rat) -> "RatPoly":
         """Taylor shift: the polynomial h with h(Y) = self(center + Y)."""
-        center = Fraction(center)
-        out = [Fraction(0)] * (len(self.coeffs) or 1)
-        for c in reversed(self.fraction_coeffs()):
-            for i in range(len(out) - 1, 0, -1):
-                out[i] = out[i] * center + out[i - 1]
-            out[0] = out[0] * center + c
-        return RatPoly.from_fractions(out)
+        return RatPoly.from_fractions(
+            _taylor_shift(self.fraction_coeffs(), Fraction(center)))
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
         a, b = self.fraction_coeffs(), other.fraction_coeffs()
@@ -304,6 +304,26 @@ def _mod_poly_gcd(a, b, ell):
     return a or [0]
 
 
+def _x_power_mod(monic, e, ell):
+    """X^e modulo a monic polynomial of degree >= 1 over F_ell, by square
+    and multiply."""
+    base = [0, 1] if len(monic) > 2 else [(-monic[0]) % ell]
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mod_poly_mul(out, base, monic, ell)
+        base = _mod_poly_mul(base, base, monic, ell)
+        e >>= 1
+    return out
+
+
+def _minus_x(poly, ell):
+    """poly - X over F_ell."""
+    out = poly + [0] * (2 - len(poly))
+    out[1] = (out[1] - 1) % ell
+    return out
+
+
 def _irreducible_mod(coeffs: Sequence[int], ell: int) -> bool:
     """Rabin's test for irreducibility over F_ell."""
     f = [c % ell for c in coeffs]
@@ -314,43 +334,64 @@ def _irreducible_mod(coeffs: Sequence[int], ell: int) -> bool:
         return False
     inv = pow(f[-1], -1, ell)
     monic = [c * inv % ell for c in f]
-
-    def x_pow_ell_power(e):
-        # X^(ell^e) mod monic by repeated Frobenius on X
-        result = [0, 1] if d > 1 else [(-monic[0]) % ell]
-        for _ in range(e):
-            result = _frob(result)
-        return result
-
-    def _frob(poly):
-        # poly(X)^ell mod monic via square and multiply on the exponent
-        out = [1]
-        base = poly
-        e = ell
-        while e:
-            if e & 1:
-                out = _mod_poly_mul(out, base, monic, ell)
-            base = _mod_poly_mul(base, base, monic, ell)
-            e >>= 1
-        return out
-
-    top = x_pow_ell_power(d)
-    minus_x = top[:]
-    while len(minus_x) < 2:
-        minus_x.append(0)
-    minus_x[1] = (minus_x[1] - 1) % ell
-    if any(minus_x):
+    if any(_minus_x(_x_power_mod(monic, ell ** d, ell), ell)):
         return False                    # X^(ell^d) != X
     for r in prime_divisors(d):
-        partial = x_pow_ell_power(d // r)
-        diff = partial[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % ell
-        g = _mod_poly_gcd(monic, diff, ell)
-        if len(g) - 1 > 0:
+        diff = _minus_x(_x_power_mod(monic, ell ** (d // r), ell), ell)
+        if len(_mod_poly_gcd(monic, diff, ell)) > 1:
             return False
     return True
+
+
+def _taylor_shift(coeffs: Sequence, c) -> list:
+    """Coefficients, low to high, of f(c + Y) from those of f(X)."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
+    return out
+
+
+def _split_at(g, a, ell):
+    """Split a monic product g of distinct linear factors over F_ell, ell
+    odd, by the quadratic character of Y + a: the parts hold the roots y
+    with y + a zero, a square, and a non-square.  Constant parts are
+    dropped."""
+    ga = [c % ell for c in _taylor_shift(g, -a)]        # ga(Z) = g(Z - a)
+    w = _x_power_mod(ga, (ell - 1) // 2, ell)
+    parts = [_mod_poly_gcd(ga, [0, 1], ell),
+             _mod_poly_gcd(ga, [(w[0] - 1) % ell] + w[1:], ell),
+             _mod_poly_gcd(ga, [(w[0] + 1) % ell] + w[1:], ell)]
+    return [[c % ell for c in _taylor_shift(u, a)] for u in parts if len(u) > 1]
+
+
+def _roots_mod(f: Sequence[int], ell: int) -> list[int]:
+    """The distinct roots in F_ell of f, ascending; f is nonzero mod ell.
+
+    When ell <= deg f + 1 every residue is tried.  Otherwise the roots are
+    those of g = gcd(f, Y^ell - Y), found by repeated squaring, and g is
+    split by _split_at with a = 0, 1, ...: at a = -y the factor Y - y
+    splits off, so the loop ends before a reaches ell.
+    """
+    f = [c % ell for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    d = len(f) - 1
+    if d < 1:
+        return []
+    if ell <= d + 1:
+        return [j for j in range(ell) if _horner(f, j) % ell == 0]
+    inv = pow(f[-1], -1, ell)
+    monic = [c * inv % ell for c in f]
+    pending = [_mod_poly_gcd(monic, _minus_x(_x_power_mod(monic, ell, ell), ell),
+                             ell)]
+    roots, a = [], 0
+    while pending:
+        roots += [(-g[0]) % ell for g in pending if len(g) == 2]
+        pending = [part for g in pending if len(g) > 2
+                   for part in _split_at(g, a, ell)]
+        a += 1
+    return sorted(roots)
 
 
 @dataclass(frozen=True)
@@ -492,13 +533,22 @@ class RootCertificate:
 
 
 def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
-    """Walk residue classes inside the ball, yielding (r, m, t, s) per
-    class r mod p^m that ends the walk, with t = vp(q(r)).
+    """Walk the residue classes of q inside the ball, yielding (r, m, t, s)
+    for each class r mod p^m that ends the walk.
 
-    s is None for a dead class: vp(q(x)) = t < m for every x in it.
-    Otherwise s = vp(q'(r)) and the Newton criterion s < m, t >= m + s
-    holds, so q has exactly one root in the class; t is INFINITY when r
-    itself is that root.
+    s is None for a dead class: vp(q(x)) = t for every x in it, where t
+    may be >= m.  Otherwise t = vp(q(r)), s = vp(q'(r)), and the Newton
+    criterion s < m, t >= m + s holds, so q has exactly one root in the
+    class; t is INFINITY when r itself is that root.
+
+    A class that is neither splits through h(Y) = q(r + p^m*Y).  With v the
+    least valuation of the coefficients of h and g = (h / p^v) mod p,
+    vp(q) = v on every child r + j*p^m with g(j) != 0, and vp(q) >= v + 1
+    on every child with g(j) = 0.  So the walk goes on only at the roots
+    of g, at most deg q of them; the other children cannot raise the
+    supremum and are not reported, and when g has no root the class
+    itself is dead with t = v.  Each level costs O(deg q) classes and
+    O(log p) polynomial products mod p, whatever the size of p.
     Termination relies on q squarefree: vp(resultant(q, q')) caps the
     depth, and no r is a root of both q and q'.
     """
@@ -518,9 +568,6 @@ def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
                 f"root scan visited over {config.residue_cap} classes",
                 visited, config.residue_cap)
         t = vp(q.eval_int(r), p)
-        if t < m:
-            yield r, m, t, None
-            continue
         s = vp(_horner(dq, r), p)
         if s < m and t >= m + s:
             yield r, m, t, s
@@ -529,9 +576,18 @@ def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
             raise ResourceLimitError(
                 f"root scan exceeded depth {depth_cap} at class {r} mod {p}^{m}",
                 m, depth_cap)
+        # h_i = p^(m*i) * c_i with c_i the Taylor coefficients of q at r
+        taylor = _taylor_shift(q.coeffs, r)
+        vals = [vp(c, p) + m * i for i, c in enumerate(taylor)]
+        v = min(vals)
+        hbar = [taylor[i] // p ** (v - m * i) % p if vals[i] == v else 0
+                for i in range(len(taylor))]
+        roots = _roots_mod(hbar, p)
+        if not roots:
+            yield r, m, v, None
+            continue
         base = p ** m
-        for j in range(p):
-            stack.append((r + j * base, m + 1))
+        stack.extend((r + j * base, m + 1) for j in roots)
 
 
 def roots_in_set(q: IrreduciblePoly, s: PAdicSet,
@@ -554,9 +610,8 @@ def roots_in_set(q: IrreduciblePoly, s: PAdicSet,
         sv = vp(q.coeffs[1], p)
         held = next((b for b in s.balls if b.contains(root)), None)
         ball = Ball(p, root, sv + 1 if held is None else max(sv + 1, held.depth))
-        tv = INFINITY if held is None else vp(q.eval_int(ball.center), p)
         return (RootCertificate(RootKind.EXACT_RATIONAL, ball, ball.center,
-                                tv, sv, root),)
+                                vp(q.eval_int(ball.center), p), sv, root),)
     certs = [RootCertificate(RootKind.HENSEL, Ball(p, r, m), r, tv, sv)
              for ball in s.balls
              for r, m, tv, sv in _tree_events(q, ball, config)

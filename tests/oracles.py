@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ivp.errors import PreconditionError
+from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import rational_mod, vp
 from ivp.padic import Ball, PAdicSet, SeqWithLimit
 
@@ -156,6 +156,34 @@ def root_residues(coeffs, p: int, k: int) -> set[int]:
     """Solutions of q(x) == 0 mod p^k by full enumeration."""
     mod = p ** k
     return {r for r in range(mod) if eval_int_poly(coeffs, r) % mod == 0}
+
+
+def brute_tree_events(q, ball: Ball, config):
+    """The residue-lifting walk of polys._tree_events with every one of the
+    p children of an undecided class walked in turn; yields the same
+    (r, m, t, s) events, where a dead class always has t = vp(q(r)) < m."""
+    p = ball.p
+    depth_cap = ball.depth + 2 * vp(q.squarefree_resultant, p) + 8
+    stack = [(ball.center, ball.depth)]
+    visited = 0
+    while stack:
+        r, m = stack.pop()
+        visited += 1
+        if visited > config.residue_cap:
+            raise ResourceLimitError("p-way walk over the residue cap",
+                                     visited, config.residue_cap)
+        t = vp(eval_int_poly(q.coeffs, r), p)
+        if t < m:
+            yield r, m, t, None
+            continue
+        s = vp(eval_int_poly(q.derivative_coeffs, r), p)
+        if s < m and t >= m + s:
+            yield r, m, t, s
+            continue
+        if m >= depth_cap:
+            raise ResourceLimitError("p-way walk over the depth cap",
+                                     m, depth_cap)
+        stack.extend((r + j * p ** m, m + 1) for j in range(p))
 
 
 def _divisors(n: int) -> list[int]:

@@ -269,6 +269,30 @@ def test_resource_cap_exit_1(capsys):
     assert code == 0 and out.strip() == "no"
 
 
+def test_unprintably_long_numbers_are_rejected_as_read(capsys):
+    # the closure of seq(2; 0, 1, 15000, +lim) has the scale 2^15000,
+    # 4516 digits, past the interpreter's 4300-digit printing limit
+    for text in ("seq(2; 0, 1, 15000, +lim)", "power(2; 15000)"):
+        code, out, err = run(capsys, "closure", "--set", text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "4300-digit limit" in err
+    code, out, _ = run(capsys, "closure", "--set", "seq(2; 0, 1, 14000, +lim)")
+    assert code == 0 and parse_set(out.strip()) == closure(
+        parse_set("seq(2; 0, 1, 14000, +lim)"))
+
+
+@pytest.mark.parametrize("caps", [(), ("--residue-cap", "1000")])
+def test_roots_and_maxval_at_a_31_bit_prime(capsys, caps):
+    prime_set = "full(2147483647)"
+    code, payload, _ = run_json(capsys, *caps, "roots", "--poly", "X^2 - 17",
+                                "--set", prime_set)
+    assert code == 0 and payload["count"] == 2
+    code, payload, _ = run_json(capsys, *caps, "maxval", "--poly", "X^2 + 1",
+                                "--set", prime_set)
+    assert code == 0 and payload["value"] == 0
+
+
 def test_config_file(tmp_path, capsys):
     path = tmp_path / "limits.cfg"
     path.write_text("residue_cap = 2\n# comment\n")

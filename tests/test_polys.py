@@ -5,20 +5,23 @@ and the Newton re-validation built into the certificates.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import padic_sets, primes
 from oracles import (
     brute_max_valuation_lower_bound,
+    brute_tree_events,
     meets_ball,
     probe_elements,
     rational_roots,
     root_residues,
 )
 
-from ivp.config import DEFAULT_CONFIG
+import ivp.polys as polys
+from ivp.config import DEFAULT_CONFIG, Config
 from ivp.errors import PreconditionError
 from ivp.exact import INFINITY, is_finite, vp
 from ivp.padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
@@ -268,6 +271,7 @@ def test_degree_one_root_certificates(s, a1, data):
     (cert,) = certs
     assert cert.kind is RootKind.EXACT_RATIONAL and cert.value == root
     assert cert.revalidate(q)
+    assert cert.q_val == vp(q.eval_int(cert.center), s.p)
     held = [b.depth for b in canonicalize(s).balls if b.contains(root)]
     assert cert.ball.depth == max([vp(q.coeffs[1], s.p) + 1] + held)
 
@@ -282,6 +286,91 @@ def test_root_certificates_lie_inside_the_set(s):
         else:
             # the certified ball must meet the set
             assert meets_ball(closure(s), c.ball)
+
+
+def test_degree_one_q_val_does_not_depend_on_the_presentation():
+    q = irr(-1, 3)                               # 3X - 1, root 1/3
+    on_point = roots_in_set(q, point_set(2, Fraction(1, 3)))
+    on_ball = roots_in_set(q, full_set(2))
+    assert on_point == on_ball
+    (cert,) = on_point
+    assert cert.q_val == vp(q.eval_int(cert.center), 2) == 1
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def squarefree_polys(draw):
+    """Squarefree integer polynomials of degree 2 to 5, not necessarily
+    irreducible; the root tree needs squarefreeness only."""
+    degree = draw(st.integers(2, 5))
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=degree,
+                           max_size=degree))
+    coeffs.append(draw(st.integers(1, 20)))
+    f = RatPoly(coeffs)
+    assume(resultant(f, f.derivative()) != 0)
+    return IrreduciblePoly.assert_irreducible(f)
+
+
+def _with_p_way_walk(fn, *args):
+    with mock.patch.object(polys, "_tree_events", brute_tree_events):
+        return fn(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES).flatmap(
+    lambda p: st.tuples(padic_sets(p=p), squarefree_polys())))
+def test_root_tree_matches_the_p_way_walk(case):
+    s, q = case
+    certs = roots_in_set(q, s)
+    assert certs == _with_p_way_walk(roots_in_set, q, s)
+    assert all(c.revalidate(q) for c in certs)
+    if s.is_empty():
+        return
+    value, witness = max_valuation_witness(q, s)
+    assert value == _with_p_way_walk(max_valuation, q, s)
+    if is_finite(value):
+        assert member(witness, s)
+        assert vp(q.eval_at(witness), s.p) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES), squarefree_polys())
+def test_root_count_on_full_matches_residue_enumeration(p, q):
+    # with R = vp(Res(q, q')), every solution mod p^(2R+1) lies within
+    # p^-(R+1) of a root, and distinct roots differ mod p^(R+1)
+    rv = vp(q.squarefree_resultant, p)
+    assume(p ** (2 * rv + 1) <= 20_000)
+    sols = root_residues(q.coeffs, p, 2 * rv + 1)
+    roots = {x % p ** (rv + 1) for x in sols}
+    assert len(roots_in_set(q, full_set(p))) == len(roots)
+
+
+def test_root_tree_cost_does_not_grow_with_p(monkeypatch):
+    calls = []
+    eval_int = IrreduciblePoly.eval_int
+
+    def counted(self, x):
+        calls.append(x)
+        return eval_int(self, x)
+    monkeypatch.setattr(IrreduciblePoly, "eval_int", counted)
+    q = irr(-17, 0, 1)
+    assert roots_in_set(q, full_set(10007)) == ()    # 17 is no square mod 10007
+    assert len(roots_in_set(q, full_set(100003))) == 2
+    assert len(calls) < 20
+
+
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG, Config(residue_cap=1000)])
+def test_root_tree_answers_at_a_31_bit_prime(config):
+    p = 2 ** 31 - 1
+    q = irr(-17, 0, 1)
+    certs = roots_in_set(q, full_set(p), config)
+    assert pow(17, (p - 1) // 2, p) == 1 and len(certs) == 2
+    assert all(c.revalidate(q) and c.ball.depth == 1 for c in certs)
+    assert max_valuation(q, full_set(p), config) is INFINITY
+    value, witness = max_valuation_witness(irr(1, 0, 1), full_set(p), config)
+    assert value == 0 and vp(witness ** 2 + 1, p) == 0     # p = 3 mod 4
 
 
 # ---------------------------------------------------------------------------
