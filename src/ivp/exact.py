@@ -100,6 +100,31 @@ def _int_vp(n: int, p: int) -> int:
     return count
 
 
+def power_exponent(n: int, p: int) -> Optional[int]:
+    """The k with p**k == n, or None.
+
+    Exact and free of divisions by large numbers.  With rung = p^(2^i)
+    of bit length r, 2^i*log2(p) lies in [r - 1, r), and n = p^k has
+    bit length b with k*log2(p) in [b - 1, b); so k lies between
+    (b - 1)*2^i/r and b*2^i/(r - 1).  Squaring the rung up to about
+    sqrt(n) leaves at most a few candidates, tried upwards from p^lo.
+    """
+    if n < 1 or (n > 1 and n % p):
+        return None
+    b = n.bit_length()
+    i, rung = 0, p
+    while 2 * rung.bit_length() <= b:
+        rung *= rung
+        i += 1
+    r = rung.bit_length()
+    k, hi = ((b - 1) << i) // r, (b << i) // (r - 1)
+    power = p ** k
+    while power < n and k < hi:
+        power *= p
+        k += 1
+    return k if power == n else None
+
+
 def rational_mod(x: Rat, modulus: int) -> int:
     """Reduce a rational with denominator prime to `modulus` into [0, modulus).
 
@@ -221,18 +246,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes_below(bound: int) -> list[int]:
-    """All primes < bound by sieve."""
-    if bound <= 2:
-        return []
-    sieve = bytearray([1]) * bound
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
-    return [i for i in range(bound) if sieve[i]]
 
 
 def prime_divisors(n: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:

@@ -66,11 +66,10 @@ def is_integer_valued(f: RatPoly, s: PAdicSet,
         if not num_ok(x):
             return False
     for seq in s.seqs:
-        seq = seq.normalized()
         if not num_ok(seq.limit):
             return False                # forces the whole stabilized tail
-        stable_from = m - vp(seq.scale, p)
-        for n in range(0, max(stable_from, 0)):
+        # from exponent m on, every element agrees with the limit mod p^m
+        for n in range(seq.start, m - seq.valuation):
             if not num_ok(seq.element(n)):
                 return False
     return True
@@ -129,7 +128,7 @@ def _min_val_seq(factors, seq, p: int):
     increasing, when the limit itself is a factor), so a finite prefix
     plus one tail sample is exact.
     """
-    sv = vp(seq.scale, p)
+    sv = seq.valuation
     gaps = [vp(seq.limit - a, p) for a in factors if a != seq.limit]
     n_star = max((d - sv for d in gaps), default=seq.start) + 1
     best = wit = None

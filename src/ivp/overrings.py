@@ -858,16 +858,16 @@ def _finitely_many_integers(s: PAdicSet, config: Config) -> bool:
 def _seq_meets_integers(seq: SeqWithLimit, config: Config) -> bool:
     """Is some element of the sequence an integer?
 
-    With limit = c/e, the scale a/d taken at start 0, and p prime to
-    both e and d, element n is an integer iff c*d + r_n = 0 mod e*d for
-    the residue r_n = a*e*p^n.  Multiplying by p is invertible mod e*d,
-    so r_n cycles from n = 0 on: an integer element recurs forever if
-    there is one, and one cycle of r decides, in at most residue_cap
-    steps.
+    With limit = c/e, the unit a/d of the scale, and p prime to both e
+    and d, the element at exponent k is an integer iff c*d + r_k = 0
+    mod e*d for the residue r_k = a*e*p^k.  Multiplying by p is
+    invertible mod e*d, so r_k is purely periodic: the residues past the
+    first element are those of one cycle from k = 0, an integer element
+    recurs forever if there is one, and one cycle of r decides, in at
+    most residue_cap steps.
     """
-    seq = seq.normalized()
     c, e = seq.limit.numerator, seq.limit.denominator
-    a, d = seq.scale.numerator, seq.scale.denominator
+    a, d = seq.unit.numerator, seq.unit.denominator
     modulus = e * d
     first = r = a * e % modulus
     for _ in range(config.residue_cap):

@@ -16,15 +16,20 @@ algebra, so structural equality of canonical forms is set equality.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError
-from .exact import (INFINITY, Congruence, Rat, check_prime_arg, covers,
+from .errors import PreconditionError, ResourceLimitError
+from .exact import (Congruence, Rat, check_prime_arg, covers, power_exponent,
                     rational_mod, vp)
+
+
+def _p_integral(x: Rat, p: int) -> bool:
+    """vp(x) >= 0, read off the reduced denominator."""
+    return Fraction(x).denominator % p != 0
 
 
 @dataclass(frozen=True)
@@ -39,14 +44,16 @@ class Ball:
         check_prime_arg(p)
         if depth < 0:
             raise PreconditionError(f"ball depth must be >= 0, got {depth}")
-        if vp(center, p) < 0:
+        if not _p_integral(center, p):
             raise PreconditionError(f"ball center {center} is not p-integral")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "center", rational_mod(center, p ** depth))
 
     def contains(self, x: Rat) -> bool:
-        return vp(Fraction(x) - self.center, self.p) >= self.depth
+        d = Fraction(x) - self.center
+        return (d.denominator % self.p != 0
+                and d.numerator % self.p ** self.depth == 0)
 
     def contains_ball(self, other: "Ball") -> bool:
         return (self.depth <= other.depth
@@ -63,6 +70,12 @@ class SeqWithLimit:
     The elements converge to ``limit``; include_limit records whether the
     limit itself belongs to the set.  All elements must be p-integral,
     which amounts to vp(limit) >= 0 and vp(scale) + start >= 0.
+
+    The constructor also works out, once, the valuation of the scale and
+    its unit part: scale = unit * p^valuation, so element n is
+    limit + unit * p^(valuation + n).  Every operation reads these two
+    instead of dividing numbers of the size of p^start again.  They are
+    derived data: they take no part in equality, hashing or printing.
     """
 
     p: int
@@ -70,6 +83,8 @@ class SeqWithLimit:
     scale: Fraction
     start: int
     include_limit: bool
+    unit: Fraction = field(init=False, repr=False, compare=False)
+    valuation: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, p: int, limit: Rat, scale: Rat, start: int = 0,
                  include_limit: bool = True):
@@ -77,42 +92,65 @@ class SeqWithLimit:
         limit, scale = Fraction(limit), Fraction(scale)
         if scale == 0:
             raise PreconditionError("sequence scale must be nonzero")
-        if vp(limit, p) < 0:
+        if not _p_integral(limit, p):
             raise PreconditionError(f"sequence limit {limit} is not p-integral")
-        if vp(scale, p) + start < 0:
+        sv = vp(scale, p)
+        if sv + start < 0:
             raise PreconditionError(
-                f"sequence elements leave Z_p (vp(scale)={vp(scale, p)}, start={start})")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "include_limit", include_limit)
+                f"sequence elements leave Z_p (vp(scale)={sv}, start={start})")
+        unit = scale
+        if sv > 0:
+            unit = Fraction(scale.numerator // p ** sv, scale.denominator)
+        elif sv < 0:
+            unit = Fraction(scale.numerator, scale.denominator // p ** -sv)
+        self._set(p, limit, scale, start, include_limit, unit, sv)
+
+    def _set(self, p, limit, scale, start, include_limit, unit, valuation):
+        # frozen: fill the instance dictionary directly
+        self.__dict__.update(p=p, limit=limit, scale=scale, start=start,
+                             include_limit=include_limit, unit=unit,
+                             valuation=valuation)
+
+    @classmethod
+    def _ray(cls, p: int, limit: Fraction, unit: Fraction, head: int,
+            include_limit: bool) -> "SeqWithLimit":
+        """{limit + unit * p^k : k >= head} at start 0, from a known p-adic
+        unit and head >= 0: no valuation is computed again."""
+        seq = object.__new__(cls)
+        seq._set(p, limit, Fraction(unit.numerator * p ** head, unit.denominator),
+                 0, include_limit, unit, head)
+        return seq
+
+    @property
+    def head(self) -> int:
+        """The exponent k of the first element, limit + unit * p^k."""
+        return self.valuation + self.start
+
+    def _with_limit(self, include_limit: bool) -> "SeqWithLimit":
+        seq = object.__new__(type(self))
+        seq._set(self.p, self.limit, self.scale, self.start, include_limit,
+                 self.unit, self.valuation)
+        return seq
 
     def element(self, n: int) -> Fraction:
-        return self.limit + self.scale * Fraction(self.p) ** n
+        k = self.valuation + n
+        power = self.p ** k if k >= 0 else Fraction(1, self.p ** -k)
+        return self.limit + self.unit * power
 
     def element_index(self, x: Rat) -> Optional[int]:
         """The n with element(n) == x, or None (the limit is not an element)."""
-        t = (Fraction(x) - self.limit) / self.scale
-        if t <= 0:
+        t = (Fraction(x) - self.limit) / self.unit
+        if t.denominator != 1:
             return None
-        n = vp(t, self.p)
-        if t == Fraction(self.p) ** n and n >= self.start:
-            return n
-        return None
+        k = power_exponent(t.numerator, self.p)
+        if k is None or k < self.head:
+            return None
+        return k - self.valuation
 
     def contains(self, x: Rat) -> bool:
         if self.include_limit and Fraction(x) == self.limit:
             return True
         return self.element_index(x) is not None
-
-    def normalized(self) -> "SeqWithLimit":
-        """Rescale so the start index is 0 (same set of elements)."""
-        if self.start == 0:
-            return self
-        return SeqWithLimit(self.p, self.limit,
-                            self.scale * Fraction(self.p) ** self.start,
-                            0, self.include_limit)
 
     def __str__(self):
         tag = "+lim" if self.include_limit else "-lim"
@@ -141,7 +179,7 @@ class PAdicSet:
             if s.p != p:
                 raise PreconditionError(f"sequence prime {s.p} != set prime {p}")
         for x in pts:
-            if vp(x, p) < 0:
+            if not _p_integral(x, p):
                 raise PreconditionError(f"point {x} is not p-integral")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "balls", balls)
@@ -180,7 +218,7 @@ def point_set(p: int, *points: Rat) -> PAdicSet:
 def member(alpha: Rat, s: PAdicSet) -> bool:
     """Exact membership of a p-integral rational in the set."""
     alpha = Fraction(alpha)
-    if vp(alpha, s.p) < 0:
+    if not _p_integral(alpha, s.p):
         raise PreconditionError(f"{alpha} is not {s.p}-integral")
     return (any(b.contains(alpha) for b in s.balls)
             or alpha in s.points
@@ -189,7 +227,7 @@ def member(alpha: Rat, s: PAdicSet) -> bool:
 
 def closure(s: PAdicSet) -> PAdicSet:
     """Topological closure: the set plus all sequence limits, canonical."""
-    seqs = [SeqWithLimit(q.p, q.limit, q.scale, q.start, True) for q in s.seqs]
+    seqs = [q._with_limit(True) for q in s.seqs]
     return canonicalize(PAdicSet(s.p, s.balls, s.points, seqs))
 
 
@@ -247,12 +285,10 @@ def _last_index_in_balls(seq: SeqWithLimit, balls: Sequence[Ball]) -> int:
     center stabilizes at vp(limit - center) < depth).
     """
     bound = seq.start - 1
-    sv = vp(seq.scale, seq.p)
     for b in balls:
-        d = vp(seq.limit - b.center, seq.p)
-        if d is INFINITY or d >= b.depth:
+        if b.contains(seq.limit):
             raise PreconditionError("sequence limit lies inside a ball")
-        bound = max(bound, d - sv)
+        bound = max(bound, vp(seq.limit - b.center, seq.p) - seq.valuation)
     return bound
 
 
@@ -278,21 +314,19 @@ def canonicalize(s: PAdicSet, config: Config = DEFAULT_CONFIG) -> PAdicSet:
     points = set(s.points)
     rays: dict[tuple[Fraction, Fraction], int] = {}
     for q in s.seqs:
-        sv = vp(q.scale, p)
-        unit = q.scale / Fraction(p) ** sv
         b = next((b for b in balls if b.contains(q.limit)), None)
         if b is None:
-            key = (q.limit, unit)
-            rays[key] = min(rays.get(key, sv + q.start), sv + q.start)
+            key = (q.limit, q.unit)
+            rays[key] = min(rays.get(key, q.head), q.head)
         else:
-            # from index b.depth on the elements lie in b; keep the rest
-            points.update(q.element(n) for n in range(q.start, b.depth - sv))
+            # from exponent b.depth on the elements lie in b; keep the rest
+            points.update(q.element(n)
+                          for n in range(q.start, b.depth - q.valuation))
     seqs = []
     for (c, unit), e in rays.items():
-        while e > 0 and member(c + unit * Fraction(p) ** (e - 1), whole):
+        while e > 0 and member(c + unit * p ** (e - 1), whole):
             e -= 1
-        seqs.append(SeqWithLimit(p, c, unit * Fraction(p) ** e, 0,
-                                 member(c, whole)))
+        seqs.append(SeqWithLimit._ray(p, c, unit, e, member(c, whole)))
     seqs.sort(key=lambda q: (q.limit, q.scale))
     kept = sorted(x for x in points
                   if not _in_ball_union(x, balls)
@@ -324,35 +358,27 @@ def _seq_subset(q: SeqWithLimit, b: PAdicSet, config: Config) -> bool:
     elements are either uniformly inside one component of b or uniformly
     outside all of them.
     """
-    p = q.p
-    q = q.normalized()
-    c, a = q.limit, q.scale
-    av = vp(a, p)
+    c = q.limit
     if q.include_limit and not member(c, b):
         return False
 
-    # a tail rule covers all n past its threshold; without one, balls,
-    # points and foreign sequences can only catch finitely many elements,
-    # so some element of q escapes b and the containment fails
+    # a tail rule covers all exponents past its threshold; without one,
+    # balls, points and foreign sequences can only catch finitely many
+    # elements, so some element of q escapes b and the containment fails
     uniform_from: Optional[int] = None
     for ball in b.balls:
-        d = vp(c - ball.center, p)
-        if d is INFINITY or d >= ball.depth:
-            t = ball.depth - av         # tail n >= t sits inside this ball
+        if ball.contains(c):
+            t = ball.depth              # exponents k >= t sit inside the ball
             uniform_from = t if uniform_from is None else min(uniform_from, t)
     for other in b.seqs:
-        other = other.normalized()
-        if other.limit != c:
-            continue
-        ratio = a / other.scale
-        j = vp(ratio, p)
-        if ratio == Fraction(p) ** j:
-            # element(n) = other.element(n + j): inside for n + j >= 0
-            t = max(0, -j)
-            uniform_from = t if uniform_from is None else min(uniform_from, t)
+        if other.limit == c and other.unit == q.unit:
+            # one ray: every exponent k >= other.head is an element of other
+            uniform_from = (other.head if uniform_from is None
+                            else min(uniform_from, other.head))
     if uniform_from is None:
         return False
-    return all(member(q.element(n), b) for n in range(0, uniform_from))
+    return all(member(q.element(n), b)
+               for n in range(q.start, uniform_from - q.valuation))
 
 
 def is_subset(a: PAdicSet, b: PAdicSet, config: Config = DEFAULT_CONFIG) -> bool:
@@ -396,11 +422,9 @@ class IsolatedPoints:
 
     def closure_set(self) -> PAdicSet:
         """Closure of the isolated locus, as a set in the algebra."""
-        seqs = []
-        for t in self.tails:
-            q = t.seq
-            scale = q.scale * Fraction(q.p) ** t.from_n
-            seqs.append(SeqWithLimit(q.p, q.limit, scale, 0, True))
+        seqs = [SeqWithLimit._ray(t.seq.p, t.seq.limit, t.seq.unit,
+                                  t.seq.valuation + t.from_n, True)
+                for t in self.tails]
         return canonicalize(PAdicSet(self.parent.p, (), self.explicit, seqs))
 
     def is_empty(self) -> bool:
@@ -423,14 +447,12 @@ def isolated_points(s: PAdicSet, config: Config = DEFAULT_CONFIG) -> IsolatedPoi
     tails = []
     other_limits = [q.limit for q in s.seqs]
     for q in s.seqs:
-        p, c, a = q.p, q.limit, q.scale
-        av = vp(a, p)
         bound = q.start - 1
         if s.balls:
             bound = max(bound, _last_index_in_balls(q, s.balls))
         skip = set()
         for lim in other_limits:
-            if lim == c:
+            if lim == q.limit:
                 continue
             n = q.element_index(lim)
             if n is not None:
@@ -476,9 +498,8 @@ def remove_isolated_point(s: PAdicSet, alpha: Rat,
             new_seqs.append(q)
             continue
         new_points.extend(q.element(i) for i in range(q.start, n))
-        new_seqs.append(SeqWithLimit(q.p, q.limit,
-                                     q.scale * Fraction(q.p) ** (n + 1 - q.start),
-                                     q.start, q.include_limit))
+        new_seqs.append(SeqWithLimit._ray(q.p, q.limit, q.unit,
+                                          q.valuation + n + 1, q.include_limit))
     return canonicalize(PAdicSet(s.p, s.balls, new_points, new_seqs), config)
 
 
@@ -561,6 +582,10 @@ def instantiate(rule: DefaultRule, p: int,
         return PAdicSet(p, points=[Fraction(p) ** rule.exponent])
     if rule.kind is RuleKind.UNITS_AND_SELF:
         # p itself plus every unit: {p} with the p-1 unit cosets mod p
+        if p - 1 > config.residue_cap:
+            raise ResourceLimitError(
+                f"units+p({p}) needs {p - 1} unit balls, over the residue "
+                f"cap {config.residue_cap}", p - 1, config.residue_cap)
         return PAdicSet(p, balls=[Ball(p, r, 1) for r in range(1, p)],
                         points=[Fraction(p)])
     if rule.kind is RuleKind.FROM_INTEGER_SET:

@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
-from .exact import (INFINITY, Rat, Valuation, is_finite, prime_divisors,
-                    primes_below, vp)
+from .exact import (INFINITY, Rat, Valuation, is_finite, is_prime,
+                    prime_divisors, vp)
 from .padic import Ball, PAdicSet, canonicalize, member
 
 
@@ -425,10 +425,9 @@ class IrreduciblePoly:
             if _has_rational_root(coeffs):
                 raise PreconditionError(f"{poly} has a rational root")
             return cls(coeffs, CertificateKind.NO_RATIONAL_ROOT)
-        for ell in primes_below(config.prime_scan_bound):
-            if coeffs[-1] % ell == 0:
-                continue
-            if _irreducible_mod(coeffs, ell):
+        for ell in range(2, config.prime_scan_bound):
+            if (is_prime(ell) and coeffs[-1] % ell
+                    and _irreducible_mod(coeffs, ell)):
                 return cls(coeffs, CertificateKind.MOD_P_WITNESS, ell)
         raise PreconditionError(
             f"no irreducibility witness below {config.prime_scan_bound} for {poly}; "
@@ -651,13 +650,12 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
             return INFINITY, None
         consider(v, x)
     for seq in s.seqs:
-        seq = seq.normalized()
         shifted = RatPoly(q.coeffs).shifted(seq.limit)
         b0 = shifted.coefficient(0)
         v0 = vp(b0, p)
         if not is_finite(v0):
             return INFINITY, None       # q(limit) = 0
-        av = vp(seq.scale, p)
+        av = seq.head
         stable = 0
         for i in range(1, shifted.degree + 1):
             bi = shifted.coefficient(i)
@@ -667,12 +665,13 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
             # smallest n with vi + i*(av + n) > v0
             need = math.ceil((v0 + 1 - vi) / i) - av
             stable = max(stable, need)
-        consider(v0, seq.element(max(stable, 0)))
-        for n in range(0, max(stable, 0)):
-            v = vp(q.eval_at(seq.element(n)), p)
+        consider(v0, seq.element(seq.start + stable))
+        for n in range(seq.start, seq.start + stable):
+            x = seq.element(n)
+            v = vp(q.eval_at(x), p)
             if not is_finite(v):
                 return INFINITY, None
-            consider(v, seq.element(n))
+            consider(v, x)
     for ball in s.balls:
         for r, _, t, sv in _tree_events(q, ball, config):
             if sv is not None:

@@ -27,6 +27,18 @@ def brute_int_vp(n: int, p: int) -> int:
     return count
 
 
+def primes_below(bound: int) -> list[int]:
+    """All primes < bound by sieve."""
+    if bound <= 2:
+        return []
+    sieve = bytearray([1]) * bound
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    return [i for i in range(bound) if sieve[i]]
+
+
 def eval_int_poly(coeffs, x):
     acc = 0
     for c in reversed(coeffs):
@@ -230,7 +242,9 @@ def seq_integer_indices(seq: SeqWithLimit):
     """Indices n with an integer element, when finitely many; None when
     they recur forever.  Scans the fractional parts of the elements past
     the p-part of the scale's denominator until one repeats."""
-    seq = seq.normalized()
+    seq = SeqWithLimit(seq.p, seq.limit,
+                       seq.scale * Fraction(seq.p) ** seq.start, 0,
+                       seq.include_limit)
     start_of_cycle = vp(Fraction(seq.scale).denominator, seq.p)
     hits = [n for n in range(start_of_cycle)
             if seq.element(n).denominator == 1]

@@ -10,7 +10,8 @@ import json
 import random
 from fractions import Fraction
 
-from oracles import brute_int_valued, probe_elements, root_residues
+from oracles import (brute_int_valued, primes_below, probe_elements,
+                     root_residues)
 
 from ivp.adelic import (
     AdelicCandidate,
@@ -21,7 +22,7 @@ from ivp.adelic import (
 )
 from ivp.cli import main
 from ivp.errors import ResourceLimitError
-from ivp.exact import Congruence, crt_solve, primes_below, vp
+from ivp.exact import Congruence, crt_solve, vp
 from ivp.membership import is_integer_valued, separating_polynomial
 from ivp.overrings import (
     Representation,

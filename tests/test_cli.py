@@ -293,6 +293,20 @@ def test_roots_and_maxval_at_a_31_bit_prime(capsys, caps):
     assert code == 0 and payload["value"] == 0
 
 
+def test_units_and_self_is_capped_before_its_balls_are_built(capsys):
+    # p - 1 unit balls: 2^31 - 2 of them is over the default residue cap
+    code, out, err = run(capsys, "member", "--set", "units+p(2147483647)",
+                         "--x", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "residue cap" in err
+    code, out, _ = run(capsys, "member", "--set", "units+p(7)", "--x", "5")
+    assert code == 0 and out.strip() == "yes"
+    code, out, err = run(capsys, "--residue-cap", "5", "member", "--set",
+                         "units+p(7)", "--x", "5")
+    assert code == 1 and out == "" and err.count("\n") == 1
+
+
 def test_config_file(tmp_path, capsys):
     path = tmp_path / "limits.cfg"
     path.write_text("residue_cap = 2\n# comment\n")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_covers, brute_int_vp
+from oracles import brute_covers, brute_int_vp, primes_below
 
 from ivp.config import Config
 from ivp.errors import PreconditionError, ResourceLimitError
@@ -15,8 +15,8 @@ from ivp.exact import (
     crt_solve,
     is_finite,
     is_prime,
+    power_exponent,
     prime_divisors,
-    primes_below,
     rational_mod,
     vp,
 )
@@ -36,6 +36,21 @@ def test_vp_ladder_matches_division_loop(p, v, u, negative):
     n = (-1) ** negative * u * p ** v
     assert vp(n, p) == brute_int_vp(n, p)
     assert vp(Fraction(u, n), p) == brute_int_vp(u, p) - brute_int_vp(n, p)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 101, 2 ** 31 - 1]), st.integers(0, 3000),
+       st.sampled_from([-1, 0, 1, "p", "2n"]))
+def test_power_exponent_matches_repeated_division(p, k, offset):
+    # p^k itself, its neighbours, p^(k+1) and 2*p^k: only powers of p pass
+    n = p ** k
+    n += {"p": n * (p - 1), "2n": n}.get(offset, offset)
+    if n < 1:
+        return
+    m = n // p ** brute_int_vp(n, p)
+    expected = brute_int_vp(n, p) if m == 1 else None
+    assert power_exponent(n, p) == expected
+    assert power_exponent(-n, p) is None and power_exponent(0, p) is None
 
 
 def test_vp_of_large_powers():

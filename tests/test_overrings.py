@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import padic_sets
-from oracles import is_all_integers, probe_elements, seq_integer_indices
+from oracles import (is_all_integers, primes_below, probe_elements,
+                     seq_integer_indices)
 
 from ivp.adelic import IntegerSet
 from ivp.config import DEFAULT_CONFIG
 from ivp.errors import PreconditionError, ResourceLimitError
-from ivp.exact import Congruence, primes_below, vp
+from ivp.exact import Congruence, vp
 from ivp.membership import is_integer_valued
 from ivp.overrings import (
     Decision,

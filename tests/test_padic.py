@@ -143,6 +143,15 @@ def test_subset_antisymmetry_is_canonical_equality(data):
         assert canonicalize(a) == canonicalize(b)
 
 
+@pytest.mark.parametrize("start", [0, 1000])
+def test_subset_checks_the_elements_before_a_ball_holds_the_tail(start):
+    # the elements 2 + 3^k with k > start lie in ball(3; 2, start + 1)
+    a = closure(PAdicSet(3, seqs=[SeqWithLimit(3, 2, 1, start)]))
+    tail_ball = Ball(3, 2, start + 1)
+    assert not is_subset(a, PAdicSet(3, [tail_ball]))
+    assert is_subset(a, PAdicSet(3, [tail_ball], [2 + 3 ** start]))
+
+
 def test_ball_cover_needs_no_residue_scan():
     # the balls of valuation 0..11 leave out 2^12 Z_2; the shares of the
     # cover sum to 1 - 2^-12, which settles it without the 4096 residues
@@ -293,6 +302,86 @@ def test_str_roundtrip_shapes():
 
 
 # ---------------------------------------------------------------------------
+# deep sequences
+# ---------------------------------------------------------------------------
+
+@st.composite
+def deep_seq_cases(draw):
+    """A sequence starting at an index up to 1500, at p = 3 or 5, with a
+    negative or rational unit, and probes around its elements."""
+    p = draw(st.sampled_from((3, 5)))
+    unit = Fraction(draw(st.sampled_from([-7, -2, -1, 1, 2, 4, 7])),
+                    draw(st.sampled_from([1, 2, 7])))
+    scale_exp = draw(st.integers(-3, 3))
+    start = draw(st.integers(max(0, -scale_exp), 1500))
+    scale = unit * Fraction(p) ** scale_exp
+    limit = draw(p_integral(p, 20))
+    seq = SeqWithLimit(p, limit, scale, start, draw(st.booleans()))
+    head = scale_exp + start
+    # a point one step before the start moves the canonical start down
+    before = [limit + scale * Fraction(p) ** (start - 1)] if head > 0 else []
+    extend = bool(before) and draw(st.booleans())
+    points = before if extend else []
+    js = [0, 1, head - 1, head, head + 1, draw(st.integers(0, head + 4))]
+    elements = [limit + scale * Fraction(p) ** (start + k) for k in range(4)]
+    probes = set(elements) | set(before) | {limit}
+    probes |= {x + sign * p ** j for x in elements for j in js if j >= 0
+               for sign in (1, -1)}
+    return seq, points, head - 1 if extend else head, probes
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_seq_cases())
+def test_deep_sequences_match_the_naive_definition(case):
+    seq, points, head, probes = case
+    p = seq.p
+    s = PAdicSet(p, points=points, seqs=[seq])
+    canon = canonicalize(s)
+    elements_only = PAdicSet(p, seqs=[SeqWithLimit(p, seq.limit, seq.scale,
+                                                   seq.start, False)])
+    for x in probes:
+        assert member(x, s) == brute_member(x, s)
+        assert member(x, canon) == brute_member(x, s)
+        n = seq.element_index(x)
+        assert (n is not None) == brute_member(x, elements_only)
+        assert n is None or seq.element(n) == x
+    # the ray canonicalize builds equals the one the constructor builds
+    built = SeqWithLimit(p, seq.limit, seq.scale * Fraction(p) ** (
+        head - seq.valuation), 0, seq.include_limit)
+    assert canon.points == () and canon.seqs == (built,)
+    assert hash(canon.seqs[0]) == hash(built)
+    assert (canon.seqs[0].unit, canon.seqs[0].valuation) == (built.unit,
+                                                             built.valuation)
+
+
+def test_deep_sequence_operations_compute_no_large_valuation(monkeypatch):
+    # the scale valuation of a sequence is worked out once, as it is built;
+    # closure, isolated points and subset tests read it and never divide
+    # out a power of p the size of p^start again
+    import ivp.padic
+    from ivp.exact import is_finite, vp
+    large = []
+
+    def counted(x, p):
+        v = vp(x, p)
+        if is_finite(v) and v > 1000:
+            large.append(v)
+        return v
+    monkeypatch.setattr(ivp.padic, "vp", counted)
+    start = 10 ** 5
+    seqs = [SeqWithLimit(3, 2, 1, start, False),
+            SeqWithLimit(3, 0, 1, start, True)]
+    s = PAdicSet(3, [Ball(3, 5, 3)], [7], seqs)
+    closed = closure(s)
+    iso = isolated_points(closed)
+    assert iso.explicit == (7,) and [t.from_n for t in iso.tails] == [0, 0]
+    assert is_subset(closed, PAdicSet(3, [Ball(3, 5, 3), Ball(3, 2, 2),
+                                          Ball(3, 0, 2)], [7]))
+    assert not is_subset(closed, PAdicSet(3, [Ball(3, 5, 3), Ball(3, 2, 2)]))
+    assert len(large) <= len(seqs)
+
+
+# ---------------------------------------------------------------------------
 # isolated points
 # ---------------------------------------------------------------------------
 
@@ -339,6 +428,13 @@ def test_remove_isolated_point_frozen():
     s = canonicalize(point_set(5, 1, 2))
     out = remove_isolated_point(s, 1)
     assert sets_equal(out, point_set(5, 2))
+    powers = closure(PAdicSet(2, seqs=[SeqWithLimit(2, 0, 1)]))  # {2^n} U {0}
+    out = remove_isolated_point(powers, 4)
+    assert sets_equal(out, PAdicSet(2, points=[1, 2],
+                                    seqs=[SeqWithLimit(2, 0, 1, 3)]))
+    deep = closure(PAdicSet(3, seqs=[SeqWithLimit(3, 2, 1, 1000)]))
+    out = remove_isolated_point(deep, 2 + 3 ** 1000)
+    assert sets_equal(out, PAdicSet(3, seqs=[SeqWithLimit(3, 2, 1, 1001)]))
     with pytest.raises(PreconditionError):
         remove_isolated_point(full_set(5), 0)
 
