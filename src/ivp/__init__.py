@@ -20,7 +20,6 @@ from .errors import (
     IvpError,
     PreconditionError,
     ResourceLimitError,
-    UnsupportedComparisonError,
 )
 from .exact import INFINITY, Congruence, crt_solve, is_prime, vp
 from .membership import (

@@ -21,7 +21,7 @@ from typing import Optional
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError, ResourceLimitError
 from .exact import (Congruence, Rat, check_prime_arg, covers, crt_solve,
-                    is_prime, prime_divisors, rational_mod, vp)
+                    iter_primes, prime_divisors, rational_mod, vp)
 from .padic import Ball, PAdicSet, canonicalize, member
 
 __all__ = [
@@ -242,13 +242,8 @@ def closures_differ(e: IntegerSet,
         if len(elems) < 2:
             return None
         a, b = elems[0], elems[1]
-        ps = []
-        q = 2
-        while len(ps) < 2:
-            if (a - b) % q and is_prime(q):
-                ps.append(q)
-            q += 1
-        cand = AdelicCandidate.of({ps[0]: a, ps[1]: b})
+        primes = (q for q in iter_primes() if (a - b) % q)
+        cand = AdelicCandidate.of({next(primes): a, next(primes): b})
         if (product_closure_member(e, cand, config)
                 and not adelic_closure_member(e, cand, config)):
             return cand

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import adelic, dsl, membership, overrings, padic, polys
 from .config import DEFAULT_CONFIG, Config, load_config_file
@@ -245,7 +246,6 @@ def _cmd_adele_diff(args, config):
 
 
 def _cmd_selftest(args, config):
-    from fractions import Fraction as F
     checks = 0
 
     def check(holds: bool, what: str) -> None:
@@ -253,7 +253,8 @@ def _cmd_selftest(args, config):
             raise InvariantError(f"selftest failed: {what}")
 
     s = dsl.parse_set("seq(2; 0, 1, 0, -lim)", config)
-    check(not padic.member(F(0), s) and padic.member(F(0), padic.closure(s)),
+    check(not padic.member(Fraction(0), s)
+          and padic.member(Fraction(0), padic.closure(s)),
           "0 is a limit point outside seq(2; 0, 1, 0, -lim)")
     checks += 1
     f = dsl.parse_poly("(X^2 - X)/2")

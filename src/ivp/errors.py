@@ -26,11 +26,3 @@ class InvariantError(IvpError):
     """An internal invariant failed: a bug, reported instead of a wrong
     answer."""
 
-
-class UnsupportedComparisonError(IvpError):
-    """Two infinite tail rules cannot be compared by the rule table.
-
-    Deciding containment between default rules requires reasoning about
-    all but finitely many primes at once; pairs outside the supported
-    table raise this error rather than guessing.
-    """

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError, ResourceLimitError
@@ -246,6 +246,15 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def iter_primes(stop: Optional[int] = None) -> Iterator[int]:
+    """The primes 2, 3, 5, ... in ascending order, below stop if given."""
+    n = 2
+    while stop is None or n < stop:
+        if is_prime(n):
+            yield n
+        n += 1 if n == 2 else 2
 
 
 def prime_divisors(n: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:

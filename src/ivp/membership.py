@@ -20,7 +20,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .exact import INFINITY, Rat, Valuation, is_finite, rational_mod, vp
-from .padic import PAdicSet, closure, member
+from .padic import PAdicSet, closure, member, some_elements
 from .polys import IrreduciblePoly, RatPoly, max_valuation
 
 __all__ = [
@@ -285,7 +285,6 @@ def witness_from_valuations(q: IrreduciblePoly, family: dict[int, PAdicSet],
 
 def _spot_check_witness(w: WitnessRationalFunction,
                         family: dict[int, PAdicSet]) -> None:
-    from .padic import some_elements
     for p, s in family.items():
         for x in some_elements(s, 3):
             if vp(w.value_at(x), p) < 0:

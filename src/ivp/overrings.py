@@ -15,7 +15,6 @@ without redundancy exists.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,15 +23,14 @@ from typing import Optional
 
 from .adelic import IntegerSet, closure_in_zp
 from .config import DEFAULT_CONFIG, Config
-from .errors import (InvariantError, PreconditionError, ResourceLimitError,
-                     UnsupportedComparisonError)
+from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .exact import (Congruence, Rat, check_prime_arg, covers, is_finite,
-                    is_prime, prime_divisors)
+                    is_prime, iter_primes, prime_divisors)
 from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
 from .padic import (DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
                     canonicalize, closure, full_set, instantiate,
-                    is_closed, is_subset, isolated_points, member,
-                    remove_isolated_point, sets_equal,
+                    integer_set_rule, is_closed, is_subset, isolated_points,
+                    member, remove_isolated_point, sets_equal,
                     EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE)
 from .polys import IrreduciblePoly, RatPoly, max_valuation, roots_in_set
 
@@ -113,93 +111,67 @@ def normalize_rule(rule: DefaultRule,
     """
     if rule.kind is not RuleKind.FROM_INTEGER_SET:
         return rule
-    e: IntegerSet = rule.integer_set
-    if e.is_finite():
-        return EMPTY_RULE if not e.finite_elements() else rule
+    residues = _tail_residues(rule)
+    if residues is not None:
+        return rule if residues else EMPTY_RULE
     if all(instantiate(rule, p, config) == full_set(p)
-           for p in _intset_special_primes(e, config)):
+           for p in _special_primes(rule, config)):
         return FULL_RULE
     return rule
 
 
-def _intset_special_primes(e: IntegerSet, config: Config) -> tuple[int, ...]:
-    """Primes where the closure of an infinite integer set can be proper."""
-    return prime_divisors(e.exclusion_modulus, config)
+def _tail_residues(rule: DefaultRule) -> Optional[tuple[int, ...]]:
+    """None for a dense rule, which puts a ball in the set at almost every
+    prime: full, units+p and an infinite integer set.  A sparse rule pins
+    finitely many integers at each prime p; this gives their residues mod
+    p, the same at every p: () for empty, (0,) for power(k), as p^k = 0
+    mod p, and the elements of a finite integer set.
+
+    Finiteness of an integer set is a covering check, so callers decide
+    it once and pass the answer on.
+    """
+    if rule.kind is RuleKind.EMPTY:
+        return ()
+    if rule.kind is RuleKind.SINGLE_POWER:
+        return (0,)
+    if (rule.kind is RuleKind.FROM_INTEGER_SET
+            and rule.integer_set.is_finite()):
+        return rule.integer_set.finite_elements()
+    return None
+
+
+def _special_primes(rule: DefaultRule, config: Config) -> tuple[int, ...]:
+    """The primes of an infinite integer set's exclusion modulus: at every
+    other prime its closure is all of Z_p."""
+    return prime_divisors(rule.integer_set.exclusion_modulus, config)
 
 
 def rule_subset(a: DefaultRule, b: DefaultRule,
                 config: Config = DEFAULT_CONFIG) -> bool:
     """Is the set prescribed by a contained in the one prescribed by b at
-    every single prime?  Decidable for all supported rule pairs."""
-    a, b = normalize_rule(a), normalize_rule(b)
-    if a == b:
+    every single prime?  Decidable for every rule pair."""
+    if a == b or b.kind is RuleKind.FULL:
         return True
-    ka, kb = a.kind, b.kind
-    if ka is RuleKind.EMPTY:
+    residues = _tail_residues(a)
+    if residues == ():
         return True
-    if kb is RuleKind.EMPTY:
-        return False
-    if kb is RuleKind.FULL:
-        return True
-
-    if ka is RuleKind.FROM_INTEGER_SET:
-        ea: IntegerSet = a.integer_set
-        if ea.is_finite():
-            elems = ea.finite_elements()
-            if kb is RuleKind.UNITS_AND_SELF:
-                # n must be a unit at every prime except possibly n itself
-                return all(n in (1, -1) or (n > 1 and is_prime(n)) for n in elems)
-            if kb is RuleKind.SINGLE_POWER:
-                return not elems
-            if kb is RuleKind.FROM_INTEGER_SET:
-                return _intset_elements_in_rule_everywhere(elems, b, config)
-            return False
-        # infinite: the closure is all of Z_p at almost every prime
-        if kb is RuleKind.FROM_INTEGER_SET:
-            eb: IntegerSet = b.integer_set
-            if eb.is_finite():
-                return False
-            checks = (set(_intset_special_primes(ea, config))
-                      | set(_intset_special_primes(eb, config)))
-            return all(is_subset(instantiate(a, p, config),
-                                 instantiate(b, p, config), config)
-                       for p in checks)
-        return False        # full closures never fit in units/power sets
-
-    if kb is RuleKind.FROM_INTEGER_SET:
-        eb = b.integer_set
-        if eb.is_finite():
-            # uncountable or unbounded prescriptions inside a finite set: no
-            return False
-        checks = _intset_special_primes(eb, config)
+    if b.kind is RuleKind.UNITS_AND_SELF:
+        # no ball fits, p^k fits only as p itself, and a pinned integer
+        # must be a unit at every prime except possibly itself
+        if a.kind is RuleKind.SINGLE_POWER:
+            return a.exponent == 1
+        return residues is not None and all(
+            n in (1, -1) or (n > 1 and is_prime(n)) for n in residues)
+    b_residues = _tail_residues(b)
+    if b_residues is None:      # an infinite integer set
         return all(is_subset(instantiate(a, p, config),
                              instantiate(b, p, config), config)
-                   for p in checks)
-
-    if ka is RuleKind.UNITS_AND_SELF:
-        return False        # kb is power: units don't fit
-    if ka is RuleKind.SINGLE_POWER:
-        if kb is RuleKind.UNITS_AND_SELF:
-            return a.exponent == 1
-        if kb is RuleKind.SINGLE_POWER:
-            return a.exponent == b.exponent
-        return False
-    if ka is RuleKind.FULL:
-        return False
-    raise UnsupportedComparisonError(f"rule pair {ka}, {kb}")
-
-
-def _intset_elements_in_rule_everywhere(elems, rule: DefaultRule,
-                                        config: Config) -> bool:
-    """Each integer must lie in the rule's set at every prime; away from
-    the special primes an infinite-set closure is everything."""
-    e: IntegerSet = rule.integer_set
-    if e.is_finite():
-        allowed = set(e.finite_elements())
-        return all(n in allowed for n in elems)
-    checks = _intset_special_primes(e, config)
-    return all(member(Fraction(n), instantiate(rule, p, config))
-               for p in checks for n in elems)
+                   for p in _special_primes(b, config))
+    # no ball fits in a sparse set, no finite set holds p^k at every p,
+    # and two powers differ
+    return (residues is not None
+            and a.kind is b.kind is RuleKind.FROM_INTEGER_SET
+            and set(residues) <= set(b_residues))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +250,6 @@ class RingSpec:
     @classmethod
     def from_integer_set(cls, e: IntegerSet,
                          config: Config = DEFAULT_CONFIG) -> "RingSpec":
-        from .padic import integer_set_rule
         return cls({}, integer_set_rule(e), config)
 
 
@@ -430,14 +401,11 @@ def _polynomiality(rep: Representation, spec: RingSpec,
     # *outside* the family can, by escaping every factor
     if rep.all_min:
         return TriState.yes("includes the full minimal denominator family")
-    kind = spec.default.kind
-    if kind in (RuleKind.FULL, RuleKind.UNITS_AND_SELF):
+    residues = _tail_residues(spec.default)
+    if residues is None:
         return TriState.yes("default rule forces every denominator")
-    if (kind is RuleKind.FROM_INTEGER_SET
-            and not spec.default.integer_set.is_finite()):
-        return TriState.yes("default rule forces every denominator")
-    q = _escaping_polynomial(rep, spec, config)
-    forced = _unitary_forces_vq(spec, q, config)
+    q = _escaping_polynomial(rep, spec, residues or (0,), config)
+    forced = _unitary_forces_vq(spec, q, residues, config)
     if not forced.is_no:
         raise InvariantError(
             f"constructed unit polynomial {q} is forced: {forced}")
@@ -446,14 +414,16 @@ def _polynomiality(rep: Representation, spec: RingSpec,
 
 
 def _escaping_polynomial(rep: Representation, spec: RingSpec,
+                         zs: tuple[int, ...],
                          config: Config) -> IrreduciblePoly:
     """An unlisted irreducible q that is a unit on every local set of a
     spec with a sparse default rule, so that 1/q escapes.
 
     q = v * prod_{z in Z} (X - z) - 1, with v the product of the window
-    primes and Z the finite tail set, or {0} for an empty or power tail.
-    q = -1 mod every window prime, so vp(q) = 0 on Z_p there; q(z) = -1
-    on Z, and q(p^k) = q(0) = -1 mod p, so no tail prime contributes.
+    primes and Z the nonempty integers zs: the tail residues, or {0} for
+    an empty tail.  q = -1 mod every window prime, so vp(q) = 0 on Z_p
+    there; q(z) = -1 on Z, so q = -1 mod p on the points a tail prime p
+    pins, which are z mod p.
     q is primitive, as q(z) = -1, and irreducible (Schur): if q = g*h
     over Z with both factors nonconstant, then g(z) = -h(z) = +-1 at the
     |Z| points while g + h has degree below |Z|, so g + h = 0 and
@@ -462,9 +432,6 @@ def _escaping_polynomial(rep: Representation, spec: RingSpec,
     lists finitely many polynomials and each round makes v larger, so
     the loop ends.
     """
-    rule = spec.default
-    zs = (rule.integer_set.finite_elements()
-          if rule.kind is RuleKind.FROM_INTEGER_SET else (0,))
     monic = RatPoly([1])
     for z in zs:
         monic = monic * RatPoly([-z, 1])
@@ -472,16 +439,17 @@ def _escaping_polynomial(rep: Representation, spec: RingSpec,
     v = math.prod(spec.window())
     q = IrreduciblePoly.assert_irreducible(monic * v - one, config)
     while rep.lists(q):
-        v *= next(ell for ell in itertools.count(2)
-                  if v % ell and is_prime(ell))
+        v *= next(ell for ell in iter_primes() if v % ell)
         q = IrreduciblePoly.assert_irreducible(monic * v - one, config)
     return q
 
 
 def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
+                       residues: Optional[tuple[int, ...]],
                        config: Config) -> TriState:
     """Does the intersection of the unitary factors described by spec lie
-    inside the valuation overring of q?
+    inside the valuation overring of q?  residues are those of the tail
+    rule, as _tail_residues gives them.
 
     Yes when q has a root in one of the sets or the positive suprema of
     vp(q) spread over infinitely many primes; otherwise the finitely many
@@ -498,40 +466,30 @@ def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
         if not is_finite(valuations[p]):
             return TriState.yes(f"root inside the set at {p}")
     rule = spec.default
-    kind = rule.kind
-    if kind is RuleKind.FULL:
-        return TriState.yes("roots exist at infinitely many primes")
-    if kind is RuleKind.UNITS_AND_SELF:
+    if residues is None:
+        if rule.kind is not RuleKind.UNITS_AND_SELF:
+            return TriState.yes("roots exist at infinitely many primes")
         if q.coeffs == (0, 1):
             return TriState.yes("vp at the pinned value p is 1 for every p")
         return TriState.yes("unit roots exist at infinitely many primes")
-    if kind is RuleKind.FROM_INTEGER_SET and not rule.integer_set.is_finite():
-        return TriState.yes("roots exist at infinitely many primes")
 
-    # sparse tail: only finitely many primes contribute, all finitely
-    tail_primes: list[int] = []
-    if kind is RuleKind.SINGLE_POWER:
-        q0 = q.eval_int(0)
-        if q0 == 0:
-            return TriState.yes("vp at the pinned power is positive for every p")
-        tail_primes = [p for p in prime_divisors(q0, config)
-                       if p not in window]
-    elif kind is RuleKind.FROM_INTEGER_SET:
-        elems = rule.integer_set.finite_elements()
-        prod = 1
-        for z in elems:
-            qz = q.eval_int(z)
-            if qz == 0:
-                return TriState.yes(f"root {z} pinned at every prime")
-            prod *= qz
-        if prod not in (1, -1):
-            tail_primes = [p for p in prime_divisors(prod, config)
-                           if p not in window]
+    # sparse tail: q is a unit on the points pinned at p unless p divides
+    # q(z) for a tail residue z, so finitely many primes contribute
+    tail_primes = set()
+    for z in residues:
+        qz = q.eval_int(z)
+        if qz == 0:
+            if rule.kind is RuleKind.SINGLE_POWER:
+                return TriState.yes(
+                    "vp at the pinned power is positive for every p")
+            return TriState.yes(f"root {z} pinned at every prime")
+        tail_primes.update(prime_divisors(qz, config))
     family = {p: s for p, s in window.items() if not s.is_empty()}
-    for p in tail_primes:
+    for p in sorted(tail_primes.difference(window)):
         family[p] = instantiate(rule, p, config)
-        if not family[p].is_empty():
-            valuations[p] = max_valuation(q, family[p], config)
+        valuations[p] = max_valuation(q, family[p], config)
+        if not is_finite(valuations[p]):
+            return TriState.yes(f"root inside the set at {p}")
     witness = witness_from_valuations(q, family, valuations)
     return TriState.no("finitely many finite contributions", payload=witness)
 
@@ -592,7 +550,8 @@ def nonunitary_contains(rep: Representation, q: IrreduciblePoly,
         # an unlisted q either has a root in some set, making the
         # containment automatic, or belongs to the minimal family
         return TriState.yes("covered by the minimal denominator family")
-    return _unitary_forces_vq(_closure_spec(rep, config), q, config)
+    spec = _closure_spec(rep, config)
+    return _unitary_forces_vq(spec, q, _tail_residues(spec.default), config)
 
 
 def superfluous_unitary(rep: Representation, p: int, alpha: Rat,
@@ -619,10 +578,11 @@ def superfluous_nonunitary(rep: Representation, q: IrreduciblePoly,
     if not rep.lists(q) and not rep.all_min:
         raise PreconditionError(f"{q} is not part of the representation")
     spec = _closure_spec(rep, config)
+    residues = _tail_residues(spec.default)
     if rep.all_min and not rep.lists(q):
-        if not _in_minimal_family(spec, q, config):
+        if not _in_minimal_family(spec, q, residues, config):
             raise PreconditionError(f"{q} is not part of the representation")
-    return _unitary_forces_vq(spec, q, config)
+    return _unitary_forces_vq(spec, q, residues, config)
 
 
 def _closure_spec(rep: Representation, config: Config) -> RingSpec:
@@ -631,32 +591,28 @@ def _closure_spec(rep: Representation, config: Config) -> RingSpec:
 
 
 def _in_minimal_family(spec: RingSpec, q: IrreduciblePoly,
+                       residues: Optional[tuple[int, ...]],
                        config: Config) -> bool:
-    """No root in any local set, listed or prescribed by the tail rule."""
+    """No root in any local set, listed or prescribed by the tail rule,
+    whose residues are as _tail_residues gives them."""
     for p in spec.window():
         f_p = spec.local_set(p, config)
         if not f_p.is_empty() and roots_in_set(q, f_p, config):
             return False
     rule = spec.default
-    kind = rule.kind
-    if kind is RuleKind.EMPTY:
+    if residues is None:
+        # roots at infinitely many primes, except for X under units+p:
+        # its only root 0 is never a pinned value
+        return rule.kind is RuleKind.UNITS_AND_SELF and q.coeffs == (0, 1)
+    # a sparse tail pins integers only, so only an integer root can lie
+    # in it: a finite set's element anywhere, or p^k off the window
+    root = q.rational_root()
+    if root is None or root.denominator != 1:
         return True
-    if kind is RuleKind.FULL:
-        return False        # roots exist at infinitely many primes
-    if kind is RuleKind.UNITS_AND_SELF:
-        if q.coeffs == (0, 1):
-            return True     # the only root 0 is never a pinned value
-        return False        # unit roots at infinitely many primes
-    if kind is RuleKind.SINGLE_POWER:
-        root = q.rational_root()
-        if root is None or root.denominator != 1 or root <= 1:
-            return True
+    if rule.kind is RuleKind.SINGLE_POWER:
         base = _perfect_power(int(root), rule.exponent)
         return base is None or base in spec.window()
-    e: IntegerSet = rule.integer_set
-    if e.is_finite():
-        return all(q.eval_int(z) != 0 for z in e.finite_elements())
-    return False            # full closures at infinitely many primes
+    return root not in residues
 
 
 def _perfect_power(n: int, e: int) -> Optional[int]:
@@ -752,18 +708,18 @@ def has_irredundant_representation(r: RingSpec,
         if not is_subset(z_p, iso.closure_set(), config):
             return TriState.no(f"isolated points are not dense at {p}")
     kind = r.default.kind
+    if _tail_residues(r.default) is None:
+        if kind is RuleKind.FULL:
+            return TriState.no(
+                "no isolated points in Z_p at almost all primes")
+        if kind is RuleKind.UNITS_AND_SELF:
+            return TriState.no("unit balls have no isolated points")
+        return TriState.no("full local sets at almost all primes")
     if kind is RuleKind.EMPTY:
         return TriState.yes("no constraints at almost all primes")
     if kind is RuleKind.SINGLE_POWER:
         return TriState.yes("one isolated value at almost all primes")
-    if kind is RuleKind.FULL:
-        return TriState.no("no isolated points in Z_p at almost all primes")
-    if kind is RuleKind.UNITS_AND_SELF:
-        return TriState.no("unit balls have no isolated points")
-    e: IntegerSet = r.default.integer_set
-    if e.is_finite():
-        return TriState.yes("finitely many isolated values at almost all primes")
-    return TriState.no("full local sets at almost all primes")
+    return TriState.yes("finitely many isolated values at almost all primes")
 
 
 # ---------------------------------------------------------------------------

@@ -589,6 +589,6 @@ def instantiate(rule: DefaultRule, p: int,
         return PAdicSet(p, balls=[Ball(p, r, 1) for r in range(1, p)],
                         points=[Fraction(p)])
     if rule.kind is RuleKind.FROM_INTEGER_SET:
-        from .adelic import closure_in_zp
+        from .adelic import closure_in_zp   # imported here: adelic imports padic
         return closure_in_zp(rule.integer_set, p, config)
     raise PreconditionError(f"unknown rule {rule.kind}")

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
-from .exact import (INFINITY, Rat, Valuation, is_finite, is_prime,
+from .exact import (INFINITY, Rat, Valuation, is_finite, iter_primes,
                     prime_divisors, vp)
 from .padic import Ball, PAdicSet, canonicalize, member
 
@@ -425,9 +425,8 @@ class IrreduciblePoly:
             if _has_rational_root(coeffs):
                 raise PreconditionError(f"{poly} has a rational root")
             return cls(coeffs, CertificateKind.NO_RATIONAL_ROOT)
-        for ell in range(2, config.prime_scan_bound):
-            if (is_prime(ell) and coeffs[-1] % ell
-                    and _irreducible_mod(coeffs, ell)):
+        for ell in iter_primes(config.prime_scan_bound):
+            if coeffs[-1] % ell and _irreducible_mod(coeffs, ell):
                 return cls(coeffs, CertificateKind.MOD_P_WITNESS, ell)
         raise PreconditionError(
             f"no irreducibility witness below {config.prime_scan_bound} for {poly}; "

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import rational_mod, vp
-from ivp.padic import Ball, PAdicSet, SeqWithLimit
+from ivp.padic import Ball, PAdicSet, SeqWithLimit, instantiate, is_subset
 
 
 def brute_int_vp(n: int, p: int) -> int:
@@ -357,3 +357,11 @@ def brute_covers(r: int, m: int, classes) -> bool:
     period = math.lcm(m, *(c.modulus for c in classes))
     return all(any(c.contains(n) for c in classes)
                for n in range(r % m, period, m))
+
+
+def brute_rule_subset(a, b, primes) -> bool:
+    """Does rule a prescribe a subset of what rule b prescribes at every
+    prime of primes?  That is the answer at all primes when primes holds
+    every prime up to one past each |element| and modulus of both rules:
+    past those, the two rules compare the same way at every prime."""
+    return all(is_subset(instantiate(a, p), instantiate(b, p)) for p in primes)

@@ -153,6 +153,10 @@ def test_unitary_and_nonunitary_contains(capsys):
                        "--poly", "X - 1")
     assert code == 0 and out.startswith("no")
     assert "witness:" in out
+    # X - 8 vanishes at the power 2^3 pinned at 2
+    code, out, _ = run(capsys, "nonunitary-contains", "--rep",
+                       '{"default": "power(3)"}', "--poly", "X - 8")
+    assert code == 0 and out.strip() == "yes (root inside the set at 2)"
 
 
 def test_superfluous_both_forms(capsys):
@@ -166,6 +170,10 @@ def test_superfluous_both_forms(capsys):
     rep_q = '{"unitary": {}, "default": "power(1)", "nonunitary": ["X"]}'
     code, out, _ = run(capsys, "superfluous", "--rep", rep_q, "--poly", "X")
     assert code == 0 and out.startswith("yes")
+    # X - 9 vanishes at the power 3^2 pinned at 3
+    rep_9 = '{"unitary": {}, "default": "power(2)", "nonunitary": ["X - 9"]}'
+    code, out, _ = run(capsys, "superfluous", "--rep", rep_9, "--poly", "X - 9")
+    assert code == 0 and out.strip() == "yes (root inside the set at 3)"
     # neither selector is an error
     code, _, err = run(capsys, "superfluous", "--rep", rep_q)
     assert code == 1 and "error" in err

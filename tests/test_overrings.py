@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import padic_sets
-from oracles import (is_all_integers, primes_below, probe_elements,
-                     seq_integer_indices)
+from oracles import (brute_rule_subset, is_all_integers, primes_below,
+                     probe_elements, seq_integer_indices)
 
 from ivp.adelic import IntegerSet
 from ivp.config import DEFAULT_CONFIG
@@ -45,6 +45,7 @@ from ivp.overrings import (
 from ivp.overrings import _seq_meets_integers
 from ivp.padic import (
     Ball,
+    DefaultRule,
     EMPTY_RULE,
     FULL_RULE,
     PAdicSet,
@@ -109,6 +110,44 @@ def test_rule_subset_frozen_relations():
     assert rule_subset(finite, UNITS_AND_SELF_RULE)    # 1 unit, 2 prime
     off = integer_set_rule(IntegerSet.finite([4]))
     assert not rule_subset(off, UNITS_AND_SELF_RULE)   # 4 is neither
+
+
+@st.composite
+def tail_rules(draw):
+    """Rules of all five kinds: power(1..3), small finite integer sets,
+    and Z less classes whose moduli divide 72, plus a few extras."""
+    kind = draw(st.sampled_from(RuleKind))
+    if kind is RuleKind.SINGLE_POWER:
+        return single_power_rule(draw(st.integers(1, 3)))
+    if kind is not RuleKind.FROM_INTEGER_SET:
+        return DefaultRule(kind)
+    small = st.lists(st.integers(-12, 12), max_size=4)
+    if draw(st.booleans()):
+        return integer_set_rule(IntegerSet.finite(draw(small)))
+    moduli = [m for m in range(2, 73) if 72 % m == 0]
+    classes = st.builds(Congruence, st.integers(0, 71), st.sampled_from(moduli))
+    return integer_set_rule(IntegerSet(
+        excluded=tuple(draw(st.lists(classes, max_size=3))),
+        extra=tuple(draw(small))))
+
+
+def _primes_past_every_number(*rules):
+    """The primes up to 2M, M the largest |element| or modulus of the
+    rules: by Bertrand's postulate one of them exceeds M."""
+    numbers = [1]
+    for rule in rules:
+        e = rule.integer_set
+        if e is not None:
+            numbers += [abs(n) for n in (e.base or ()) + e.extra]
+            numbers += [c.modulus for c in e.excluded]
+    return primes_below(2 * max(numbers) + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tail_rules(), tail_rules())
+def test_rule_subset_matches_the_rules_at_every_prime(a, b):
+    primes = _primes_past_every_number(a, b)
+    assert rule_subset(a, b) == brute_rule_subset(a, b, primes)
 
 
 def test_normalize_rule_densifies_and_empties():
@@ -357,6 +396,52 @@ def test_nonunitary_contains_frozen():
     # rootless with finite sups: not forced, witness attached
     out = nonunitary_contains(rep2, irr(1, 1, 1))
     assert out.is_no and out.payload is not None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_root_at_a_pinned_power_forces_the_factor(p, k):
+    # X - p^k vanishes on the set power(k) pins at p, so V_q is forced;
+    # asking for a witness used to raise PreconditionError
+    q = irr(-p ** k, 1)
+    rep = Representation({}, single_power_rule(k))
+    verdict = nonunitary_contains(rep, q)
+    assert verdict.is_yes and verdict.reason == f"root inside the set at {p}"
+    listed = Representation({}, single_power_rule(k), nonunitary=[q])
+    assert superfluous_nonunitary(listed, q).is_yes
+    # off its own exponent the power is no root: X - p^k escapes
+    other = Representation({}, single_power_rule(k % 3 + 1))
+    verdict = nonunitary_contains(other, q)
+    assert verdict.is_no and verdict.payload is not None
+
+
+def _is_prime_power(n: int, k: int) -> bool:
+    return any(p ** k == n for p in primes_below(abs(n) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_linear_denominators_over_sparse_tails(data):
+    # with no window, V_(X - n) contains the ring exactly when X - n has
+    # a root in a pinned set, or n = 0 under a power tail, where vp of
+    # the pinned power p^k is k at every p; every no carries a witness
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(1, 3))
+        rule = single_power_rule(k)
+        n = data.draw(st.one_of(
+            st.integers(-40, 1100),
+            st.sampled_from(primes_below(12)).map(lambda p: p ** k)))
+        forced = n == 0 or _is_prime_power(n, k)
+    else:
+        tail = data.draw(st.lists(st.integers(-30, 30), max_size=4))
+        rule = integer_set_rule(IntegerSet.finite(tail))
+        n = data.draw(st.one_of(st.integers(-40, 40),
+                                st.sampled_from(tail or [0])))
+        forced = n in tail
+    verdict = nonunitary_contains(Representation({}, rule), irr(-n, 1))
+    assert verdict.is_yes == forced
+    if verdict.is_no:
+        assert verdict.payload is not None
 
 
 def test_nonunitary_contains_walks_each_root_tree_once(monkeypatch):

@@ -40,7 +40,7 @@ EXAMPLES = _examples()
 
 
 def test_readme_has_the_examples():
-    assert len(EXAMPLES) == 10
+    assert len(EXAMPLES) == 11
 
 
 @pytest.mark.parametrize("command, expected", EXAMPLES,
