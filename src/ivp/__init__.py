@@ -29,13 +29,20 @@ from .membership import (
     witness_rational_function,
 )
 from .overrings import (
+    EMPTY_RULE,
+    FULL_RULE,
+    UNITS_AND_SELF_RULE,
     Decision,
+    DefaultRule,
     MinimalExtensions,
     Representation,
     RingSpec,
+    RuleKind,
     TriState,
     globalize,
     has_irredundant_representation,
+    instantiate,
+    integer_set_rule,
     is_simple_integer_set_ring,
     localize,
     minimal_extensions,
@@ -47,25 +54,19 @@ from .overrings import (
     ring_member,
     ring_of,
     rule_subset,
+    single_power_rule,
     superfluous_nonunitary,
     superfluous_unitary,
     unitary_contains,
 )
 from .padic import (
-    EMPTY_RULE,
-    FULL_RULE,
-    UNITS_AND_SELF_RULE,
     Ball,
-    DefaultRule,
     PAdicSet,
-    RuleKind,
     SeqWithLimit,
     canonicalize,
     closure,
     empty_set,
     full_set,
-    instantiate,
-    integer_set_rule,
     is_closed,
     is_dense_in,
     is_subset,
@@ -74,7 +75,6 @@ from .padic import (
     point_set,
     remove_isolated_point,
     sets_equal,
-    single_power_rule,
     some_elements,
 )
 from .polys import (

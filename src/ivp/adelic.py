@@ -75,11 +75,12 @@ class IntegerSet:
             out = math.lcm(out, c.modulus)
         return out
 
-    def is_finite(self) -> bool:
-        return self.base is not None or covers(0, 1, self.excluded)
+    def is_finite(self, config: Config = DEFAULT_CONFIG) -> bool:
+        return self.base is not None or covers(0, 1, self.excluded, config)
 
-    def finite_elements(self) -> tuple[int, ...]:
-        if not self.is_finite():
+    def finite_elements(self,
+                        config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
+        if not self.is_finite(config):
             raise PreconditionError("integer set is infinite")
         if self.base is None:
             return self.extra
@@ -87,21 +88,8 @@ class IntegerSet:
                 if not any(c.contains(n) for c in self.excluded)]
         return tuple(sorted(set(kept) | set(self.extra)))
 
-    def is_empty(self) -> bool:
-        return self.is_finite() and not self.finite_elements()
-
-    def sample(self, count: int = 8) -> tuple[int, ...]:
-        """A few members, for spot checks."""
-        if self.is_finite():
-            return self.finite_elements()[:count]
-        out = list(self.extra[:count])
-        n = 0
-        while len(out) < count:
-            for cand in (n, -n):
-                if self.contains(cand) and cand not in out:
-                    out.append(cand)
-            n += 1
-        return tuple(out[:count])
+    def is_empty(self, config: Config = DEFAULT_CONFIG) -> bool:
+        return self.is_finite(config) and not self.finite_elements(config)
 
     def __str__(self):
         if self.base is not None:
@@ -126,9 +114,9 @@ def closure_in_zp(e: IntegerSet, p: int,
     kept when the exclusions do not cover it; the p^D classes are capped
     by residue_cap, and so are the nodes of each covering check.
     """
-    if e.is_finite():
+    if e.is_finite(config):
         return canonicalize(PAdicSet(
-            p, points=[Fraction(n) for n in e.finite_elements()]))
+            p, points=[Fraction(n) for n in e.finite_elements(config)]))
     L = e.exclusion_modulus
     depth = vp(L, p) + 1
     count = p ** depth
@@ -181,7 +169,7 @@ def product_closure_member(e: IntegerSet, x: AdelicCandidate,
     closure at its prime, and the unlisted coordinates can be filled with
     any element as long as the set is nonempty.
     """
-    if e.is_empty():
+    if e.is_empty(config):
         return False
     return all(member(x_p, closure_in_zp(e, p, config))
                for p, x_p in x.values)
@@ -201,11 +189,10 @@ def adelic_closure_member(e: IntegerSet, x: AdelicCandidate,
     """
     # a member z of e equal to every listed coordinate works at all depths
     exact_common = _common_exact_value(x)
-    if exact_common is not None and e.contains(exact_common):
-        return True
-    if e.is_finite():
-        # finitely many candidates z, each eventually expelled unless exact
-        return False
+    exact = exact_common is not None and e.contains(exact_common)
+    if e.is_finite(config) or exact:
+        # a finite set's candidates z are each expelled in the end unless exact
+        return exact
 
     L = e.exclusion_modulus
     congruences = []
@@ -237,8 +224,8 @@ def closures_differ(e: IntegerSet,
     the excluded classes, prescribed diagonally at the primes of the
     modulus.
     """
-    if e.is_finite():
-        elems = e.finite_elements()
+    if e.is_finite(config):
+        elems = e.finite_elements(config)
         if len(elems) < 2:
             return None
         a, b = elems[0], elems[1]

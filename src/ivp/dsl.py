@@ -10,6 +10,8 @@ The set grammar is a |-separated union of components:
     units+p(3)                 the units together with 3 itself
     power(5; 2)                the single point 25
 
+The last three are the tail rules full, empty, units+p and power(k) at p.
+
 Polynomials use ordinary expression syntax over X, e.g. (X^2 - X)/2.
 Integer sets read like "Z \\ (65 mod 72) U {9}" or "{2, 3, 5}".  Rings
 and representations are small JSON objects whose leaves use the grammars
@@ -29,10 +31,10 @@ from .adelic import AdelicCandidate, IntegerSet
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError
 from .exact import Congruence
-from .overrings import Representation, RingSpec
-from .padic import (Ball, DefaultRule, PAdicSet, SeqWithLimit,
-                    instantiate, EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE,
-                    integer_set_rule, single_power_rule)
+from .overrings import (DefaultRule, Representation, RingSpec, instantiate,
+                        EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE,
+                        integer_set_rule, single_power_rule)
+from .padic import Ball, PAdicSet, SeqWithLimit
 from .polys import IrreduciblePoly, RatPoly
 
 __all__ = [
@@ -58,6 +60,8 @@ def parse_rational(text: str) -> Fraction:
 # p-adic sets
 # ---------------------------------------------------------------------------
 
+_PLAIN_RULES = {"full": FULL_RULE, "empty": EMPTY_RULE,
+                "units+p": UNITS_AND_SELF_RULE}
 _COMPONENT = re.compile(r"^\s*([a-z+]+)\s*\((.*)\)\s*$", re.DOTALL)
 
 
@@ -110,12 +114,9 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
             _check_printable(seq.scale, p, seq.start,
                              f"sequence scale {seq.scale}*{p}^{seq.start}")
             seqs.append(seq)
-        elif name == "full":
-            balls.append(Ball(p, 0, 0))
-        elif name == "empty":
-            pass
-        elif name == "units+p":
-            part = instantiate(UNITS_AND_SELF_RULE, p, config)
+        elif name in _PLAIN_RULES:
+            # the tail rule of the same name, at p
+            part = instantiate(_PLAIN_RULES[name], p, config)
             balls.extend(part.balls)
             points.extend(part.points)
         elif name == "power":
@@ -123,7 +124,8 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
                 raise ParseError("power takes (p; exponent)")
             exponent = int(rest[0])
             _check_printable(Fraction(1), p, exponent, f"{p}^{exponent}")
-            points.append(Fraction(p) ** exponent)
+            points.extend(instantiate(single_power_rule(exponent), p,
+                                      config).points)
         else:
             raise ParseError(f"unknown set component {name!r}")
     if prime is None:
@@ -265,12 +267,8 @@ def parse_rule(text: str) -> DefaultRule:
     if not m:
         raise ParseError(f"bad rule {text!r}")
     name, body = m.group(1), m.group(2)
-    if name == "full" and body is None:
-        return FULL_RULE
-    if name == "empty" and body is None:
-        return EMPTY_RULE
-    if name == "units+p" and body is None:
-        return UNITS_AND_SELF_RULE
+    if name in _PLAIN_RULES and body is None:
+        return _PLAIN_RULES[name]
     if name == "power" and body is not None:
         return single_power_rule(int(body.strip()))
     if name == "intset" and body is not None:

@@ -11,6 +11,10 @@ unitary factor pins a value at (p, alpha), a non-unitary factor pins the
 denominator polynomial q.  The operations below decide which factors are
 forced by the others, which are superfluous, and when a representation
 without redundancy exists.
+
+The tail rules live here too: the uniform recipes (full, empty, units+p,
+power(k), intset(...)) that give the closed set at almost every prime,
+with every question about them decided from one dense/sparse split.
 """
 
 from __future__ import annotations
@@ -27,15 +31,16 @@ from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .exact import (Congruence, Rat, check_prime_arg, covers, is_finite,
                     is_prime, iter_primes, prime_divisors)
 from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
-from .padic import (DefaultRule, PAdicSet, RuleKind, SeqWithLimit,
-                    canonicalize, closure, full_set, instantiate,
-                    integer_set_rule, is_closed, is_subset, isolated_points,
-                    member, remove_isolated_point, sets_equal,
-                    EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE)
+from .padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
+                    empty_set, full_set, is_closed, is_subset,
+                    isolated_points, member, remove_isolated_point,
+                    sets_equal)
 from .polys import IrreduciblePoly, RatPoly, max_valuation, roots_in_set
 
 __all__ = [
     "Decision", "TriState", "RingSpec", "Representation", "RingOfResult",
+    "RuleKind", "DefaultRule", "FULL_RULE", "UNITS_AND_SELF_RULE",
+    "EMPTY_RULE", "single_power_rule", "integer_set_rule", "instantiate",
     "normalize_rule", "rule_subset", "ring_contains", "ring_equal", "ring_of",
     "ring_member", "representation_equals", "unitary_contains",
     "nonunitary_contains", "superfluous_unitary", "superfluous_nonunitary",
@@ -99,8 +104,77 @@ class TriState:
 
 
 # ---------------------------------------------------------------------------
-# default-rule normalization and comparison
+# tail rules: one closed set prescribed at almost every prime
 # ---------------------------------------------------------------------------
+
+class RuleKind(Enum):
+    FULL = "full"
+    UNITS_AND_SELF = "units+p"
+    SINGLE_POWER = "power"
+    FROM_INTEGER_SET = "intset"
+    EMPTY = "empty"
+
+
+@dataclass(frozen=True)
+class DefaultRule:
+    """A uniform recipe assigning a set in Z_p to every prime p."""
+
+    kind: RuleKind
+    exponent: Optional[int] = None
+    integer_set: Optional[IntegerSet] = None
+
+    def __post_init__(self):
+        if self.kind is RuleKind.SINGLE_POWER:
+            if self.exponent is None or self.exponent < 1:
+                raise PreconditionError("SINGLE_POWER needs an exponent >= 1")
+        elif self.exponent is not None:
+            raise PreconditionError(f"{self.kind} takes no exponent")
+        if (self.integer_set is None) == (self.kind is RuleKind.FROM_INTEGER_SET):
+            raise PreconditionError("integer_set is for FROM_INTEGER_SET only")
+
+    def __str__(self):
+        if self.kind is RuleKind.SINGLE_POWER:
+            return f"power({self.exponent})"
+        if self.kind is RuleKind.FROM_INTEGER_SET:
+            return f"intset({self.integer_set})"
+        return self.kind.value
+
+
+FULL_RULE = DefaultRule(RuleKind.FULL)
+UNITS_AND_SELF_RULE = DefaultRule(RuleKind.UNITS_AND_SELF)
+EMPTY_RULE = DefaultRule(RuleKind.EMPTY)
+
+
+def single_power_rule(exponent: int) -> DefaultRule:
+    return DefaultRule(RuleKind.SINGLE_POWER, exponent=exponent)
+
+
+def integer_set_rule(integer_set: IntegerSet) -> DefaultRule:
+    return DefaultRule(RuleKind.FROM_INTEGER_SET, integer_set=integer_set)
+
+
+def instantiate(rule: DefaultRule, p: int,
+                config: Config = DEFAULT_CONFIG) -> PAdicSet:
+    """The concrete closed set the rule prescribes at prime p."""
+    check_prime_arg(p)
+    if rule.kind is RuleKind.FULL:
+        return full_set(p)
+    if rule.kind is RuleKind.EMPTY:
+        return empty_set(p)
+    if rule.kind is RuleKind.SINGLE_POWER:
+        return PAdicSet(p, points=[Fraction(p) ** rule.exponent])
+    if rule.kind is RuleKind.UNITS_AND_SELF:
+        # p itself plus every unit: {p} with the p-1 unit cosets mod p
+        if p - 1 > config.residue_cap:
+            raise ResourceLimitError(
+                f"units+p({p}) needs {p - 1} unit balls, over the residue "
+                f"cap {config.residue_cap}", p - 1, config.residue_cap)
+        return PAdicSet(p, balls=[Ball(p, r, 1) for r in range(1, p)],
+                        points=[Fraction(p)])
+    if rule.kind is RuleKind.FROM_INTEGER_SET:
+        return closure_in_zp(rule.integer_set, p, config)
+    raise PreconditionError(f"unknown rule {rule.kind}")
+
 
 def normalize_rule(rule: DefaultRule,
                    config: Config = DEFAULT_CONFIG) -> DefaultRule:
@@ -111,7 +185,7 @@ def normalize_rule(rule: DefaultRule,
     """
     if rule.kind is not RuleKind.FROM_INTEGER_SET:
         return rule
-    residues = _tail_residues(rule)
+    residues = _tail_residues(rule, config)
     if residues is not None:
         return rule if residues else EMPTY_RULE
     if all(instantiate(rule, p, config) == full_set(p)
@@ -120,7 +194,8 @@ def normalize_rule(rule: DefaultRule,
     return rule
 
 
-def _tail_residues(rule: DefaultRule) -> Optional[tuple[int, ...]]:
+def _tail_residues(rule: DefaultRule,
+                   config: Config) -> Optional[tuple[int, ...]]:
     """None for a dense rule, which puts a ball in the set at almost every
     prime: full, units+p and an infinite integer set.  A sparse rule pins
     finitely many integers at each prime p; this gives their residues mod
@@ -135,8 +210,8 @@ def _tail_residues(rule: DefaultRule) -> Optional[tuple[int, ...]]:
     if rule.kind is RuleKind.SINGLE_POWER:
         return (0,)
     if (rule.kind is RuleKind.FROM_INTEGER_SET
-            and rule.integer_set.is_finite()):
-        return rule.integer_set.finite_elements()
+            and rule.integer_set.is_finite(config)):
+        return rule.integer_set.finite_elements(config)
     return None
 
 
@@ -152,7 +227,7 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
     every single prime?  Decidable for every rule pair."""
     if a == b or b.kind is RuleKind.FULL:
         return True
-    residues = _tail_residues(a)
+    residues = _tail_residues(a, config)
     if residues == ():
         return True
     if b.kind is RuleKind.UNITS_AND_SELF:
@@ -162,7 +237,7 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
             return a.exponent == 1
         return residues is not None and all(
             n in (1, -1) or (n > 1 and is_prime(n)) for n in residues)
-    b_residues = _tail_residues(b)
+    b_residues = _tail_residues(b, config)
     if b_residues is None:      # an infinite integer set
         return all(is_subset(instantiate(a, p, config),
                              instantiate(b, p, config), config)
@@ -178,6 +253,26 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
 # ring descriptions
 # ---------------------------------------------------------------------------
 
+def _sets_by_prime(sets, config: Config):
+    """The (p, canonical set) pairs of a prime-keyed mapping, by prime;
+    each key must be a prime and the prime of its set."""
+    for p, s in sorted(dict(sets or {}).items()):
+        check_prime_arg(p)
+        if s.p != p:
+            raise PreconditionError(f"set at key {p} lives at prime {s.p}")
+        yield p, canonicalize(s, config)
+
+
+def _set_at(pairs: tuple[tuple[int, PAdicSet], ...], rule: DefaultRule,
+            p: int, config: Config) -> PAdicSet:
+    """The set listed for p, or else the one the tail rule gives at p."""
+    for q, s in pairs:
+        if q == p:
+            return s
+    return instantiate(rule, p, config)
+
+
+@dataclass(frozen=True)
 class RingSpec:
     """A ring given by its closed set at finitely many exceptional primes
     and a default rule everywhere else.
@@ -187,50 +282,28 @@ class RingSpec:
     equal specs describe equal rings.
     """
 
-    __slots__ = ("exceptional", "default")
+    exceptional: tuple[tuple[int, PAdicSet], ...]
+    default: DefaultRule
 
     def __init__(self, exceptional=None, default: DefaultRule = FULL_RULE,
                  config: Config = DEFAULT_CONFIG):
         default = normalize_rule(default, config)
         items = []
-        for p, s in sorted(dict(exceptional or {}).items()):
-            check_prime_arg(p)
-            if s.p != p:
-                raise PreconditionError(f"set at key {p} lives at prime {s.p}")
-            canon = canonicalize(s, config)
-            if not is_closed(canon):
+        for p, s in _sets_by_prime(exceptional, config):
+            if not is_closed(s):
                 raise PreconditionError(
                     f"exceptional set at {p} is not closed")
-            if canon == instantiate(default, p, config):
-                continue
-            items.append((p, canon))
+            if s != instantiate(default, p, config):
+                items.append((p, s))
         object.__setattr__(self, "exceptional", tuple(items))
         object.__setattr__(self, "default", default)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RingSpec is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, RingSpec)
-                and self.exceptional == other.exceptional
-                and self.default == other.default)
-
-    def __hash__(self):
-        return hash((self.exceptional, self.default))
-
-    def __repr__(self):
-        parts = [f"{p}: {s}" for p, s in self.exceptional]
-        return f"RingSpec({{{', '.join(parts)}}}, default={self.default})"
 
     def window(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.exceptional)
 
     def local_set(self, p: int, config: Config = DEFAULT_CONFIG) -> PAdicSet:
         """The closed set this ring carves out inside Z_p."""
-        for q, s in self.exceptional:
-            if q == p:
-                return s
-        return instantiate(self.default, p, config)
+        return _set_at(self.exceptional, self.default, p, config)
 
     @classmethod
     def integers(cls) -> "RingSpec":
@@ -302,6 +375,7 @@ def ring_member(f: RatPoly, r: RingSpec,
 # representations by valuation overrings
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Representation:
     """An intersection of one-point valuation overrings.
 
@@ -311,57 +385,30 @@ class Representation:
     irreducible polynomial with no root in any of the per-prime sets.
     """
 
-    __slots__ = ("nonunitary", "all_min", "unitary", "default")
+    unitary: tuple[tuple[int, PAdicSet], ...]
+    default: DefaultRule
+    nonunitary: tuple[IrreduciblePoly, ...]
+    all_min: bool
 
     def __init__(self, unitary=None, default: DefaultRule = FULL_RULE,
                  nonunitary=(), all_min: bool = False,
                  config: Config = DEFAULT_CONFIG):
-        items = []
-        for p, s in sorted((unitary or {}).items()):
-            check_prime_arg(p)
-            if s.p != p:
-                raise PreconditionError(f"set at key {p} lives at prime {s.p}")
-            items.append((p, canonicalize(s, config)))
-        seen = set()
-        polys = []
+        items = tuple(_sets_by_prime(unitary, config))
+        polys = {}
         for q in nonunitary:
             if not isinstance(q, IrreduciblePoly):
                 raise PreconditionError("nonunitary entries must be certified")
-            if q.coeffs not in seen:
-                seen.add(q.coeffs)
-                polys.append(q)
-        object.__setattr__(self, "unitary", tuple(items))
+            polys.setdefault(q.coeffs, q)
+        object.__setattr__(self, "unitary", items)
         object.__setattr__(self, "default", normalize_rule(default, config))
-        object.__setattr__(self, "nonunitary", tuple(polys))
+        object.__setattr__(self, "nonunitary", tuple(polys.values()))
         object.__setattr__(self, "all_min", bool(all_min))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Representation is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Representation)
-                and self.unitary == other.unitary
-                and self.default == other.default
-                and self.nonunitary == other.nonunitary
-                and self.all_min == other.all_min)
-
-    def __hash__(self):
-        return hash((self.unitary, self.default, self.nonunitary, self.all_min))
-
-    def __repr__(self):
-        parts = [f"{p}: {s}" for p, s in self.unitary]
-        qs = ", ".join(str(q) for q in self.nonunitary)
-        return (f"Representation({{{', '.join(parts)}}}, default={self.default},"
-                f" nonunitary=[{qs}], all_min={self.all_min})")
 
     def window(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.unitary)
 
     def unitary_at(self, p: int, config: Config = DEFAULT_CONFIG) -> PAdicSet:
-        for q, s in self.unitary:
-            if q == p:
-                return s
-        return instantiate(self.default, p, config)
+        return _set_at(self.unitary, self.default, p, config)
 
     def lists(self, q: IrreduciblePoly) -> bool:
         return any(q.coeffs == r.coeffs for r in self.nonunitary)
@@ -401,7 +448,7 @@ def _polynomiality(rep: Representation, spec: RingSpec,
     # *outside* the family can, by escaping every factor
     if rep.all_min:
         return TriState.yes("includes the full minimal denominator family")
-    residues = _tail_residues(spec.default)
+    residues = _tail_residues(spec.default, config)
     if residues is None:
         return TriState.yes("default rule forces every denominator")
     q = _escaping_polynomial(rep, spec, residues or (0,), config)
@@ -551,7 +598,8 @@ def nonunitary_contains(rep: Representation, q: IrreduciblePoly,
         # containment automatic, or belongs to the minimal family
         return TriState.yes("covered by the minimal denominator family")
     spec = _closure_spec(rep, config)
-    return _unitary_forces_vq(spec, q, _tail_residues(spec.default), config)
+    return _unitary_forces_vq(spec, q, _tail_residues(spec.default, config),
+                              config)
 
 
 def superfluous_unitary(rep: Representation, p: int, alpha: Rat,
@@ -578,7 +626,7 @@ def superfluous_nonunitary(rep: Representation, q: IrreduciblePoly,
     if not rep.lists(q) and not rep.all_min:
         raise PreconditionError(f"{q} is not part of the representation")
     spec = _closure_spec(rep, config)
-    residues = _tail_residues(spec.default)
+    residues = _tail_residues(spec.default, config)
     if rep.all_min and not rep.lists(q):
         if not _in_minimal_family(spec, q, residues, config):
             raise PreconditionError(f"{q} is not part of the representation")
@@ -708,7 +756,7 @@ def has_irredundant_representation(r: RingSpec,
         if not is_subset(z_p, iso.closure_set(), config):
             return TriState.no(f"isolated points are not dense at {p}")
     kind = r.default.kind
-    if _tail_residues(r.default) is None:
+    if _tail_residues(r.default, config) is None:
         if kind is RuleKind.FULL:
             return TriState.no(
                 "no isolated points in Z_p at almost all primes")

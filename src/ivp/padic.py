@@ -11,18 +11,21 @@ This algebra is closed under the operations the library needs: closure,
 canonicalization, subset tests, isolated points, and removal of an
 isolated point.  Canonical forms are unique for sets presented in the
 algebra, so structural equality of canonical forms is set equality.
+
+This module holds the set algebra alone.  The tail rules that prescribe
+one such set at almost every prime live with the rings they describe, in
+``overrings``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError
 from .exact import (Congruence, Rat, check_prime_arg, covers, power_exponent,
                     rational_mod, vp)
 
@@ -427,9 +430,6 @@ class IsolatedPoints:
                 for t in self.tails]
         return canonicalize(PAdicSet(self.parent.p, (), self.explicit, seqs))
 
-    def is_empty(self) -> bool:
-        return not (self.explicit or self.tails)
-
 
 def isolated_points(s: PAdicSet, config: Config = DEFAULT_CONFIG) -> IsolatedPoints:
     """Isolated points of a closed set.
@@ -518,77 +518,3 @@ def some_elements(s: PAdicSet, per_component: int = 4) -> Iterator[Fraction]:
             yield q.element(n)
         if q.include_limit:
             yield q.limit
-
-
-# ---------------------------------------------------------------------------
-# default rules: per-prime set prescriptions for almost all primes
-# ---------------------------------------------------------------------------
-
-class RuleKind(Enum):
-    FULL = "full"
-    UNITS_AND_SELF = "units+p"
-    SINGLE_POWER = "power"
-    FROM_INTEGER_SET = "intset"
-    EMPTY = "empty"
-
-
-@dataclass(frozen=True)
-class DefaultRule:
-    """A uniform recipe assigning a set in Z_p to every prime p."""
-
-    kind: RuleKind
-    exponent: Optional[int] = None
-    integer_set: object = None          # adelic.IntegerSet when FROM_INTEGER_SET
-
-    def __post_init__(self):
-        if self.kind is RuleKind.SINGLE_POWER:
-            if self.exponent is None or self.exponent < 1:
-                raise PreconditionError("SINGLE_POWER needs an exponent >= 1")
-        elif self.exponent is not None:
-            raise PreconditionError(f"{self.kind} takes no exponent")
-        if (self.integer_set is None) == (self.kind is RuleKind.FROM_INTEGER_SET):
-            raise PreconditionError("integer_set is for FROM_INTEGER_SET only")
-
-    def __str__(self):
-        if self.kind is RuleKind.SINGLE_POWER:
-            return f"power({self.exponent})"
-        if self.kind is RuleKind.FROM_INTEGER_SET:
-            return f"intset({self.integer_set})"
-        return self.kind.value
-
-
-FULL_RULE = DefaultRule(RuleKind.FULL)
-UNITS_AND_SELF_RULE = DefaultRule(RuleKind.UNITS_AND_SELF)
-EMPTY_RULE = DefaultRule(RuleKind.EMPTY)
-
-
-def single_power_rule(exponent: int) -> DefaultRule:
-    return DefaultRule(RuleKind.SINGLE_POWER, exponent=exponent)
-
-
-def integer_set_rule(integer_set) -> DefaultRule:
-    return DefaultRule(RuleKind.FROM_INTEGER_SET, integer_set=integer_set)
-
-
-def instantiate(rule: DefaultRule, p: int,
-                config: Config = DEFAULT_CONFIG) -> PAdicSet:
-    """The concrete closed set the rule prescribes at prime p."""
-    check_prime_arg(p)
-    if rule.kind is RuleKind.FULL:
-        return full_set(p)
-    if rule.kind is RuleKind.EMPTY:
-        return empty_set(p)
-    if rule.kind is RuleKind.SINGLE_POWER:
-        return PAdicSet(p, points=[Fraction(p) ** rule.exponent])
-    if rule.kind is RuleKind.UNITS_AND_SELF:
-        # p itself plus every unit: {p} with the p-1 unit cosets mod p
-        if p - 1 > config.residue_cap:
-            raise ResourceLimitError(
-                f"units+p({p}) needs {p - 1} unit balls, over the residue "
-                f"cap {config.residue_cap}", p - 1, config.residue_cap)
-        return PAdicSet(p, balls=[Ball(p, r, 1) for r in range(1, p)],
-                        points=[Fraction(p)])
-    if rule.kind is RuleKind.FROM_INTEGER_SET:
-        from .adelic import closure_in_zp   # imported here: adelic imports padic
-        return closure_in_zp(rule.integer_set, p, config)
-    raise PreconditionError(f"unknown rule {rule.kind}")

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import rational_mod, vp
-from ivp.padic import Ball, PAdicSet, SeqWithLimit, instantiate, is_subset
+from ivp.overrings import instantiate
+from ivp.padic import Ball, PAdicSet, SeqWithLimit, is_subset
 
 
 def brute_int_vp(n: int, p: int) -> int:

@@ -25,30 +25,30 @@ from ivp.errors import ResourceLimitError
 from ivp.exact import Congruence, crt_solve, vp
 from ivp.membership import is_integer_valued, separating_polynomial
 from ivp.overrings import (
+    EMPTY_RULE,
+    FULL_RULE,
     Representation,
     RingSpec,
+    UNITS_AND_SELF_RULE,
     globalize,
     has_irredundant_representation,
+    instantiate,
+    integer_set_rule,
     minimal_extensions,
     nonunitary_contains,
     ring_equal,
+    single_power_rule,
     superfluous_unitary,
 )
 from ivp.padic import (
-    EMPTY_RULE,
-    FULL_RULE,
-    UNITS_AND_SELF_RULE,
     Ball,
     PAdicSet,
     SeqWithLimit,
     closure,
     full_set,
-    instantiate,
-    integer_set_rule,
     member,
     point_set,
     sets_equal,
-    single_power_rule,
 )
 from ivp.polys import IrreduciblePoly, RatPoly, RootKind, roots_in_set
 

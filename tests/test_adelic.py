@@ -26,7 +26,7 @@ from ivp.adelic import (
     product_closure_member,
 )
 from ivp.config import Config
-from ivp.errors import PreconditionError
+from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import Congruence, vp
 from ivp.padic import full_set, member, sets_equal
 
@@ -282,3 +282,19 @@ def test_any_returned_witness_is_valid(e):
     if w is not None:
         assert product_closure_member(e, w)
         assert not adelic_closure_member(e, w)
+
+
+def test_finiteness_checks_obey_the_callers_residue_cap():
+    # the odd multiples of 3 that are 3 mod 4 are infinitely many, but a
+    # covering check must split the root class more than twice to see it
+    e = IntegerSet.without_classes(Congruence(0, 2), Congruence(1, 4),
+                                   Congruence(1, 3), Congruence(2, 3))
+    x = AdelicCandidate.of({2: 3})
+    assert adelic_closure_member(e, x)
+    tight = Config(residue_cap=2)
+    for check in (lambda: adelic_closure_member(e, x, tight),
+                  lambda: e.is_finite(tight), lambda: e.is_empty(tight),
+                  lambda: product_closure_member(e, x, tight)):
+        with pytest.raises(ResourceLimitError,
+                           match="covering check needs over 2 classes"):
+            check()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ivp
-from ivp import adelic, padic
+from ivp import adelic, overrings, padic
 from ivp.cli import main
 from ivp.dsl import parse_poly, parse_set
 from ivp.exact import vp
@@ -388,6 +388,31 @@ def test_no_unused_imports_in_the_library():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+# every intra-package import names a module of a strictly lower layer
+LAYERS = ({"config", "errors"}, {"exact"}, {"padic"}, {"polys"},
+          {"membership", "adelic"}, {"overrings"}, {"dsl"}, {"cli"})
+TAIL_RULE_NAMES = ("RuleKind", "DefaultRule", "FULL_RULE",
+                   "UNITS_AND_SELF_RULE", "EMPTY_RULE", "single_power_rule",
+                   "integer_set_rule", "instantiate")
+
+
+def test_library_imports_only_from_lower_layers():
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    for path in Path(ivp.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = ([node.module] if node.module
+                         else [a.name for a in node.names])
+                for name in names:
+                    assert rank[name] < rank[path.stem], (
+                        path.name, node.lineno, name)
+    for name in TAIL_RULE_NAMES:
+        assert name in ivp.__all__ and name in overrings.__all__
+        assert getattr(ivp, name) is getattr(overrings, name)
+
+
 def test_isolated_output(capsys):
     code, payload, _ = run_json(capsys, "isolated", "--set",
                                 "seq(2; 0, 1, 0, +lim)")
@@ -415,3 +440,26 @@ def test_simple_scans_one_fraction_cycle_under_the_residue_cap(capsys):
     assert code == 0 and out.startswith("no (only finitely many integers")
     code, _, err = run(capsys, "--residue-cap", "1000", "simple", "--ring", ring)
     assert code == 1 and "seq(2; 0, 1/1000003, 0, +lim)" in err
+
+
+def test_residue_cap_bounds_the_finiteness_check(capsys):
+    intset = r"Z \ (0 mod 2) \ (1 mod 4) \ (1 mod 3) \ (2 mod 3)"
+    argv = ("adele-hat", "--intset", intset, "--candidate", "2: 3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "yes\n"
+    code, out, err = run(capsys, *argv, "--residue-cap", "2")
+    assert code == 1 and out == ""
+    assert err == "error: covering check needs over 2 classes\n"
+
+
+@pytest.mark.parametrize("argv, code, first_line", [
+    (("superfluous", "--rep", '{"default": "power(2)", "all_min": true}',
+      "--poly", "X - 9"), 1, "error: X - 9 is not part of the representation"),
+    (("simple", "--ring", '{"exceptional": {"2": "seq(2; 1, 1, 0, +lim)"}}'),
+     2, "unknown (sequence-shaped local sets interact across primes beyond"
+        " the supported analysis)"),
+])
+def test_ring_layer_exit_codes(capsys, argv, code, first_line):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert (out or err).splitlines()[0] == first_line

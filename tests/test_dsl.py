@@ -29,19 +29,23 @@ from ivp.dsl import (
 from ivp.config import DEFAULT_CONFIG
 from ivp.errors import PreconditionError
 from ivp.exact import Congruence
-from ivp.overrings import Representation, RingSpec, ring_equal
-from ivp.padic import (
+from ivp.overrings import (
     EMPTY_RULE,
     FULL_RULE,
+    Representation,
+    RingSpec,
     UNITS_AND_SELF_RULE,
+    instantiate,
+    integer_set_rule,
+    ring_equal,
+    single_power_rule,
+)
+from ivp.padic import (
     Ball,
     PAdicSet,
     SeqWithLimit,
     empty_set,
     full_set,
-    instantiate,
-    integer_set_rule,
-    single_power_rule,
 )
 from ivp.polys import RatPoly
 
@@ -73,6 +77,14 @@ def test_parse_set_sugar():
     assert parse_set("power(5; 2)") == PAdicSet(5, points=[25])
     u = parse_set("units+p(3)")
     assert u == instantiate(UNITS_AND_SELF_RULE, 3)
+
+
+def test_power_component_refuses_what_the_tail_rule_refuses():
+    # power(p; k) is the tail rule power(k) at p
+    with pytest.raises(PreconditionError, match="exponent >= 1"):
+        parse_rule("power(0)")
+    with pytest.raises(PreconditionError, match="exponent >= 1"):
+        parse_set("power(5; 0)")
 
 
 def test_parse_set_minus_lim():

@@ -15,18 +15,25 @@ from conftest import padic_sets
 from oracles import (brute_rule_subset, is_all_integers, primes_below,
                      probe_elements, seq_integer_indices)
 
-from ivp.adelic import IntegerSet
+from ivp.adelic import IntegerSet, closure_in_zp
 from ivp.config import DEFAULT_CONFIG
 from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import Congruence, vp
 from ivp.membership import is_integer_valued
 from ivp.overrings import (
     Decision,
+    DefaultRule,
+    EMPTY_RULE,
+    FULL_RULE,
     Representation,
     RingSpec,
+    RuleKind,
     TriState,
+    UNITS_AND_SELF_RULE,
     globalize,
     has_irredundant_representation,
+    instantiate,
+    integer_set_rule,
     is_simple_integer_set_ring,
     localize,
     minimal_extensions,
@@ -38,6 +45,7 @@ from ivp.overrings import (
     ring_member,
     ring_of,
     rule_subset,
+    single_power_rule,
     superfluous_nonunitary,
     superfluous_unitary,
     unitary_contains,
@@ -45,22 +53,14 @@ from ivp.overrings import (
 from ivp.overrings import _seq_meets_integers
 from ivp.padic import (
     Ball,
-    DefaultRule,
-    EMPTY_RULE,
-    FULL_RULE,
     PAdicSet,
-    RuleKind,
     SeqWithLimit,
-    UNITS_AND_SELF_RULE,
     closure,
     full_set,
-    instantiate,
-    integer_set_rule,
     is_subset,
     member,
     point_set,
     sets_equal,
-    single_power_rule,
 )
 from ivp.polys import IrreduciblePoly, RatPoly
 
@@ -181,6 +181,27 @@ def test_named_rings():
     primes_ring = RingSpec.primes_ring()
     assert sets_equal(primes_ring.local_set(13),
                       instantiate(UNITS_AND_SELF_RULE, 13))
+
+
+def test_ring_descriptions_are_frozen_values():
+    r = RingSpec({2: TWO_POWERS}, EMPTY_RULE)
+    assert r == RingSpec({2: TWO_POWERS}, EMPTY_RULE)
+    assert hash(r) == hash(RingSpec({2: TWO_POWERS}, EMPTY_RULE))
+    with pytest.raises(AttributeError):
+        r.default = FULL_RULE
+    rep = Representation({2: TWO_POWERS}, EMPTY_RULE,
+                         nonunitary=[irr(-1, 1), irr(-1, 1)])
+    assert rep.nonunitary == (irr(-1, 1),)
+    assert rep == Representation({2: TWO_POWERS}, EMPTY_RULE,
+                                 nonunitary=[irr(-1, 1)])
+    assert rep != Representation({2: TWO_POWERS}, EMPTY_RULE,
+                                 nonunitary=[irr(-1, 1)], all_min=True)
+    with pytest.raises(AttributeError):
+        rep.all_min = True
+    for make in (RingSpec, Representation):
+        with pytest.raises(PreconditionError,
+                           match="set at key 3 lives at prime 2"):
+            make({3: TWO_POWERS})
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +515,39 @@ def test_superfluous_nonunitary_frozen():
         superfluous_nonunitary(rep2, irr(-3, 1))     # not part of the rep
 
 
+def test_nonunitary_contains_over_dense_tails():
+    # a ball at almost every prime holds a root of any q at infinitely
+    # many of them; units+p pins p itself, where X has valuation 1
+    full_rep = Representation({}, FULL_RULE)
+    assert (str(nonunitary_contains(full_rep, irr(1, 0, 1)))
+            == "yes (roots exist at infinitely many primes)")
+    units_rep = Representation({}, UNITS_AND_SELF_RULE)
+    assert (str(nonunitary_contains(units_rep, irr(0, 1)))
+            == "yes (vp at the pinned value p is 1 for every p)")
+    assert (str(nonunitary_contains(units_rep, irr(-3, 1)))
+            == "yes (unit roots exist at infinitely many primes)")
+
+
+@pytest.mark.parametrize("unitary, rule, outside, member_q, witness", [
+    # 9 = 3^2 is the pinned power at 3, so X - 9 has a root in the tail
+    ({}, single_power_rule(2), irr(-9, 1), irr(-7, 1), "7/(X - 7)"),
+    ({}, integer_set_rule(IntegerSet.finite([1, 2])), irr(-2, 1),
+     irr(-5, 1), "12/(X - 5)"),
+    ({2: full_set(2)}, EMPTY_RULE, irr(7, 0, 1), irr(1, 0, 1),
+     "2/(X^2 + 1)"),
+])
+def test_superfluous_nonunitary_over_the_minimal_family(unitary, rule,
+                                                       outside, member_q,
+                                                       witness):
+    rep = Representation(unitary, rule, all_min=True)
+    with pytest.raises(PreconditionError) as refused:
+        superfluous_nonunitary(rep, outside)
+    assert str(refused.value) == f"{outside} is not part of the representation"
+    verdict = superfluous_nonunitary(rep, member_q)
+    assert str(verdict) == "no (finitely many finite contributions)"
+    assert str(verdict.payload) == witness
+
+
 # ---------------------------------------------------------------------------
 # minimal extensions and irredundance
 # ---------------------------------------------------------------------------
@@ -536,6 +590,20 @@ def test_irredundant_frozen_cases():
     assert has_irredundant_representation(finite_ring).is_yes
 
 
+@pytest.mark.parametrize("ring, answer", [
+    (RingSpec({}, single_power_rule(2)),
+     "yes (one isolated value at almost all primes)"),
+    (RingSpec.from_integer_set(IntegerSet.finite([1, 2])),
+     "yes (finitely many isolated values at almost all primes)"),
+    (RingSpec.from_integer_set(IntegerSet.without_classes(Congruence(1, 4))),
+     "no (full local sets at almost all primes)"),
+    (RingSpec({2: PAdicSet(2, [Ball(2, 0, 1)])}, EMPTY_RULE),
+     "no (isolated points are not dense at 2)"),
+])
+def test_irredundant_reasons_by_tail(ring, answer):
+    assert str(has_irredundant_representation(ring)) == answer
+
+
 # ---------------------------------------------------------------------------
 # rings cut out by one set of integers
 # ---------------------------------------------------------------------------
@@ -569,6 +637,25 @@ def test_simple_congruence_ring_witness_validates():
     from ivp.adelic import closure_in_zp
     for p in r.window() or (2,):
         assert sets_equal(closure_in_zp(w, p), r.local_set(p))
+
+
+def test_simple_full_tail_assembles_ball_windows_by_crt():
+    local = {2: PAdicSet(2, [Ball(2, 1, 3)]),
+             3: PAdicSet(3, [Ball(3, 2, 1), Ball(3, 0, 2)])}
+    r = RingSpec(local, FULL_RULE)
+    verdict, witness = is_simple_integer_set_ring(r)
+    assert str(verdict) == "yes (congruence classes assemble by CRT)"
+    for p in (2, 3, 5):
+        assert sets_equal(closure_in_zp(witness.integer_set, p),
+                          r.local_set(p))
+
+
+def test_simple_full_tail_with_a_sequence_or_an_empty_window():
+    seq_ring = RingSpec({2: PAdicSet(2, seqs=[SeqWithLimit(2, 1, 1, 0)])})
+    verdict, witness = is_simple_integer_set_ring(seq_ring)
+    assert verdict.is_unknown and witness is None
+    verdict, witness = is_simple_integer_set_ring(RingSpec({2: PAdicSet(2)}))
+    assert verdict.is_no and witness is None
 
 
 @settings(max_examples=150)

@@ -16,19 +16,22 @@ from oracles import (brute_in_closure, brute_member, meets_ball, probe_elements,
 
 from ivp.config import Config
 from ivp.errors import PreconditionError
-from ivp.padic import (
-    Ball,
+from ivp.overrings import (
     EMPTY_RULE,
     FULL_RULE,
+    UNITS_AND_SELF_RULE,
+    instantiate,
+    integer_set_rule,
+    single_power_rule,
+)
+from ivp.padic import (
+    Ball,
     PAdicSet,
     SeqWithLimit,
-    UNITS_AND_SELF_RULE,
     canonicalize,
     closure,
     empty_set,
     full_set,
-    instantiate,
-    integer_set_rule,
     is_closed,
     is_dense_in,
     is_subset,
@@ -37,7 +40,6 @@ from ivp.padic import (
     point_set,
     remove_isolated_point,
     sets_equal,
-    single_power_rule,
     some_elements,
 )
 
