@@ -101,7 +101,9 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
         if name == "ball":
             if len(rest) != 2:
                 raise ParseError("ball takes (p; center, depth)")
-            balls.append(Ball(p, parse_rational(rest[0]), int(rest[1])))
+            depth = int(rest[1])
+            _check_printable(Fraction(1), p, depth, f"ball modulus {p}^{depth}")
+            balls.append(Ball(p, parse_rational(rest[0]), depth))
         elif name == "pts":
             points.extend(parse_rational(a) for a in rest)
         elif name == "seq":
@@ -115,6 +117,8 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
                              f"sequence scale {seq.scale}*{p}^{seq.start}")
             seqs.append(seq)
         elif name in _PLAIN_RULES:
+            if rest:
+                raise ParseError(f"{name} takes (p)")
             # the tail rule of the same name, at p
             part = instantiate(_PLAIN_RULES[name], p, config)
             balls.extend(part.balls)

@@ -24,8 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
-from .exact import (INFINITY, Rat, Valuation, is_finite, iter_primes,
-                    prime_divisors, vp)
+from .exact import INFINITY, Rat, Valuation, is_finite, iter_primes, vp
 from .padic import Ball, PAdicSet, canonicalize, member
 
 
@@ -262,19 +261,19 @@ def _has_rational_root(c: Sequence[int]) -> bool:
 
 
 def _mod_poly_mul(a, b, mod_poly, ell):
+    """a*b modulo the monic mod_poly over F_ell; entries are reduced once."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % ell
-    # reduce modulo mod_poly (monic)
+                out[i + j] += x * y
     d = len(mod_poly) - 1
     for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
+        c = out[i] % ell
         if c:
-            for j in range(d + 1):
-                out[i - d + j] = (out[i - d + j] - c * mod_poly[j]) % ell
-    out = out[:d]
+            for j in range(d):
+                out[i - d + j] -= c * mod_poly[j]
+    out = [c % ell for c in out[:d]]
     while out and out[-1] == 0:
         out.pop()
     return out or [0]
@@ -304,16 +303,15 @@ def _mod_poly_gcd(a, b, ell):
     return a or [0]
 
 
-def _x_power_mod(monic, e, ell):
-    """X^e modulo a monic polynomial of degree >= 1 over F_ell, by square
-    and multiply."""
-    base = [0, 1] if len(monic) > 2 else [(-monic[0]) % ell]
+def _x_power_mod(monic, e, ell, base=(0, 1)):
+    """base^e, X^e by default, modulo a monic polynomial of degree >= 1
+    over F_ell.  The bits of e are read from the most significant end, so
+    a step by X is a shift and one reduction."""
     out = [1]
-    while e:
-        if e & 1:
+    for bit in bin(e)[2:]:
+        out = _mod_poly_mul(out, out, monic, ell)
+        if bit == "1":
             out = _mod_poly_mul(out, base, monic, ell)
-        base = _mod_poly_mul(base, base, monic, ell)
-        e >>= 1
     return out
 
 
@@ -325,7 +323,9 @@ def _minus_x(poly, ell):
 
 
 def _irreducible_mod(coeffs: Sequence[int], ell: int) -> bool:
-    """Rabin's test for irreducibility over F_ell."""
+    """Ben-Or's irreducibility test over F_ell (FOCS 1981): f of degree d
+    is irreducible iff gcd(f, X^(ell^i) - X) = 1 for each i <= d/2.  It
+    stops at the least degree of a factor of f."""
     f = [c % ell for c in coeffs]
     while f and f[-1] == 0:
         f.pop()
@@ -334,11 +334,10 @@ def _irreducible_mod(coeffs: Sequence[int], ell: int) -> bool:
         return False
     inv = pow(f[-1], -1, ell)
     monic = [c * inv % ell for c in f]
-    if any(_minus_x(_x_power_mod(monic, ell ** d, ell), ell)):
-        return False                    # X^(ell^d) != X
-    for r in prime_divisors(d):
-        diff = _minus_x(_x_power_mod(monic, ell ** (d // r), ell), ell)
-        if len(_mod_poly_gcd(monic, diff, ell)) > 1:
+    h = [0, 1]
+    for _ in range(d // 2):
+        h = _x_power_mod(monic, ell, ell, h)            # X^(ell^i)
+        if len(_mod_poly_gcd(monic, _minus_x(h, ell), ell)) > 1:
             return False
     return True
 
@@ -413,9 +412,10 @@ class IrreduciblePoly:
         """Prove irreducibility over Q, or raise.
 
         Degree 1 is immediate; degrees 2 and 3 reduce to the rational root
-        test, decided exactly by _has_rational_root; higher degrees search
-        for a prime modulo which the reduction stays irreducible with the
-        same degree.
+        test, decided exactly by _has_rational_root.  Higher degrees take
+        as witness the least prime below config.prime_scan_bound that does
+        not divide the leading coefficient and modulo which the reduction
+        is irreducible, by _irreducible_mod.
         """
         coeffs = _primitive_part(poly, config)
         d = len(coeffs) - 1

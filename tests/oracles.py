@@ -239,6 +239,94 @@ def rational_roots(coeffs) -> tuple[Fraction, ...]:
     return tuple(sorted(roots))
 
 
+def _monic_mod(coeffs, ell) -> list[int]:
+    """coeffs mod ell divided by their leading coefficient; [] when they
+    all vanish mod ell."""
+    f = [c % ell for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
+        return []
+    inv = pow(f[-1], -1, ell)
+    return [c * inv % ell for c in f]
+
+
+def _rem_mod(a, f, ell) -> list[int]:
+    """The remainder of a on division by the monic f over F_ell, with
+    trailing zeros cut."""
+    a = [c % ell for c in a]
+    d = len(f) - 1
+    while len(a) > d:
+        top = a.pop()
+        for j in range(d):
+            a[len(a) - d + j] = (a[len(a) - d + j] - top * f[j]) % ell
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mulmod(a, b, f, ell) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _rem_mod(out, f, ell)
+
+
+def _gcd_mod(a, b, ell) -> list[int]:
+    """Monic gcd over F_ell of two polynomials reduced mod ell."""
+    while b:
+        b = _monic_mod(b, ell)
+        a, b = b, _rem_mod(a, b, ell)
+    return a
+
+
+def rabin_irreducible(coeffs, ell: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980): the reduction f of degree
+    d >= 1 is irreducible over F_ell iff X^(ell^d) = X mod f and
+    gcd(f, X^(ell^(d/r)) - X) = 1 for every prime r dividing d.  Every
+    power and remainder is taken mod f, X itself included."""
+    f = _monic_mod(coeffs, ell)
+    d = len(f) - 1
+    if d < 1:
+        return False
+    x = _rem_mod([0, 1], f, ell)
+
+    def frobenius_minus_x(k):
+        out, base, e = [1], x, ell ** k
+        while e:
+            if e & 1:
+                out = _mulmod(out, base, f, ell)
+            base = _mulmod(base, base, f, ell)
+            e >>= 1
+        diff = out + [0] * (len(x) - len(out))
+        for i, c in enumerate(x):
+            diff[i] = (diff[i] - c) % ell
+        return _rem_mod(diff, f, ell)
+
+    if frobenius_minus_x(d):
+        return False
+    prime_factors = [r for r in range(2, d + 1)
+                     if d % r == 0 and all(r % s for s in range(2, r))]
+    return all(len(_gcd_mod(f, frobenius_minus_x(d // r), ell)) == 1
+               for r in prime_factors)
+
+
+def brute_irreducible(coeffs, ell: int) -> bool:
+    """Irreducibility over F_ell by trying every monic divisor of degree
+    1 to d/2; for small ell and d only."""
+    f = _monic_mod(coeffs, ell)
+    d = len(f) - 1
+    if d < 1:
+        return False
+    for k in range(1, d // 2 + 1):
+        for n in range(ell ** k):
+            g = [n // ell ** i % ell for i in range(k)] + [1]
+            if not _rem_mod(f, g, ell):
+                return False
+    return True
+
+
 def seq_integer_indices(seq: SeqWithLimit):
     """Indices n with an integer element, when finitely many; None when
     they recur forever.  Scans the fractional parts of the elements past

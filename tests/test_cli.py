@@ -6,6 +6,9 @@ kind of error (usage, parse, precondition, resource).
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +293,29 @@ def test_unprintably_long_numbers_are_rejected_as_read(capsys):
         parse_set("seq(2; 0, 1, 14000, +lim)"))
 
 
+@pytest.mark.parametrize("argv", [
+    ("member", "--set", "ball(3; 1, 100000000)", "--x", "1"),
+    ("closure", "--set", "ball(3; -1, 10000)"),
+])
+def test_deep_balls_are_refused_as_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ball modulus 3^") and err.count("\n") == 1
+    assert "4300-digit limit" in err
+
+
+def test_extra_arguments_of_a_tail_rule_component_exit_1(capsys):
+    for name, extra in (("full", "3"), ("empty", "1"), ("units+p", "2")):
+        code, out, err = run(capsys, "closure", "--set", f"{name}(5; {extra})")
+        assert code == 1 and out == "" and err == f"error: {name} takes (p)\n"
+
+
+def test_polynomial_reducible_at_every_prime_has_no_certificate(capsys):
+    code, out, err = run(capsys, "roots", "--poly", "X^4 + 1", "--set", "full(2)")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: no irreducibility witness below 10000 for X^4 + 1")
+
+
 @pytest.mark.parametrize("caps", [(), ("--residue-cap", "1000")])
 def test_roots_and_maxval_at_a_31_bit_prime(capsys, caps):
     prime_set = "full(2147483647)"
@@ -386,6 +412,20 @@ def test_no_unused_imports_in_the_library():
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
                 used |= set(ast.literal_eval(node.value))
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_cli_imports_only_the_standard_library():
+    # run without site, so that nothing installed can be picked up
+    probe = ("import sys; before = set(sys.modules); import ivp.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(ivp.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "ivp.cli" in out
+    foreign = [name for name in out if name.split(".")[0] != "ivp"
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign
 
 
 # every intra-package import names a module of a strictly lower layer

@@ -95,9 +95,20 @@ def test_parse_set_minus_lim():
 
 def test_parse_set_errors():
     for bad in ("", "ball(2; 5)", "blob(2; 1)", "ball(2; 5, 3) | pts(3; 1)",
-                "pts()", "seq(2; 0, 1, 0)"):
+                "pts()", "seq(2; 0, 1, 0)", "full(5; 3)", "empty(5; 1)",
+                "units+p(5; 2)"):
         with pytest.raises(ParseError):
             parse_set(bad)
+
+
+def test_balls_past_the_printing_limit_are_refused_before_reduction():
+    # 3^10000 has 4772 digits; the centre is never reduced modulo it
+    for depth in (10000, 10 ** 8, 10 ** 10):
+        for center in ("1", "-1"):
+            with pytest.raises(ParseError, match=f"ball modulus 3\\^{depth} "
+                               r"has about \d+ digits, over the \d+-digit"):
+                parse_set(f"ball(3; {center}, {depth})")
+    assert parse_set("ball(3; -1, 9000)").balls[0].depth == 9000
 
 
 @given(padic_sets())

@@ -4,6 +4,7 @@ Root location is checked against full residue enumeration (root_residues)
 and the Newton re-validation built into the certificates.
 """
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -12,10 +13,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import padic_sets, primes
 from oracles import (
+    brute_irreducible,
     brute_max_valuation_lower_bound,
     brute_tree_events,
     meets_ball,
+    primes_below,
     probe_elements,
+    rabin_irreducible,
     rational_roots,
     root_residues,
 )
@@ -182,6 +186,83 @@ def test_certify_decides_large_quadratics_and_cubics():
 def test_certify_clears_denominators():
     q = IrreduciblePoly.certify(P(Fraction(1, 2), 0, Fraction(1, 2)))
     assert q.coeffs == (1, 0, 1)
+
+
+def test_rabin_referee_accepts_every_linear_polynomial():
+    for ell in (2, 3, 5, 7):
+        for a in range(ell):
+            for b in range(1, ell):
+                assert rabin_irreducible((a, b), ell)
+                assert brute_irreducible((a, b), ell)
+    assert not rabin_irreducible((0, 0, 1), 5)      # X^2
+    assert not rabin_irreducible((1, 0, 1), 5)      # (X - 2)(X - 3)
+    assert rabin_irreducible((2, 0, 1), 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 8))
+def test_irreducible_mod_agrees_with_the_referees(data, ell, degree):
+    coeffs = [data.draw(st.integers(-50, 50)) for _ in range(degree)]
+    coeffs.append(data.draw(st.integers(-50, 50).filter(lambda c: c % ell)))
+    got = polys._irreducible_mod(coeffs, ell)
+    assert got == rabin_irreducible(coeffs, ell)
+    if ell <= 5:
+        assert got == brute_irreducible(coeffs, ell)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 13, 9973]), st.integers(1, 6),
+       st.integers(0, 299))
+def test_x_power_mod_matches_repeated_products(data, ell, degree, e):
+    residue = st.integers(0, ell - 1)
+    monic = [data.draw(residue) for _ in range(degree)] + [1]
+    base = [data.draw(residue) for _ in range(data.draw(st.integers(1, 8)))]
+    x_power = base_power = [1]
+    for _ in range(e):
+        x_power = polys._mod_poly_mul(x_power, [0, 1], monic, ell)
+        base_power = polys._mod_poly_mul(base_power, base, monic, ell)
+    assert polys._x_power_mod(monic, e, ell) == x_power
+    assert polys._x_power_mod(monic, e, ell, base) == base_power
+
+
+def _shifted_power_minus_2(n, c):
+    coeffs = [math.comb(n, i) * c ** (n - i) for i in range(n + 1)]
+    coeffs[0] -= 2
+    return coeffs
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("c", [0, 1, 137, -61])
+def test_certify_witness_is_the_least_prime_the_referee_accepts(n, c):
+    coeffs = _shifted_power_minus_2(n, c)         # Eisenstein at 2
+    q = irr(*coeffs)
+    assert q.certificate is CertificateKind.MOD_P_WITNESS
+    least = next(ell for ell in primes_below(10 ** 4)
+                 if coeffs[-1] % ell and rabin_irreducible(coeffs, ell))
+    assert q.witness_prime == least
+
+
+def test_certify_witness_skips_primes_dividing_the_leading_coefficient():
+    # 2X^4 + X + 1 is X + 1 mod 2: irreducible, but of lower degree
+    coeffs = (1, 1, 0, 0, 2)
+    assert rabin_irreducible(coeffs, 2)
+    assert irr(*coeffs).witness_prime == 3
+    assert irr(-10, 0, 0, 0, 1).witness_prime == 17
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 0, 0, 1),          # X^4 + 1
+                                    (1, 0, -10, 0, 1)])       # X^4 - 10X^2 + 1
+def test_quartics_reducible_at_every_prime_have_no_witness(coeffs):
+    # each is irreducible over Q with Galois group (Z/2)^2, which holds
+    # no 4-cycle, so it splits mod every prime
+    with pytest.raises(PreconditionError, match="no irreducibility witness below 200"):
+        IrreduciblePoly.certify(RatPoly(coeffs), Config(prime_scan_bound=200))
+    assert not any(rabin_irreducible(coeffs, ell) for ell in primes_below(200))
+
+
+def test_certify_refuses_a_product_of_quadratics():
+    with pytest.raises(PreconditionError, match="no irreducibility witness"):
+        irr(2, 0, 3, 0, 1)                        # (X^2 + 1)(X^2 + 2)
 
 
 # ---------------------------------------------------------------------------
