@@ -19,10 +19,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .exact import (Congruence, Rat, check_prime_arg, covers, crt_solve,
                     iter_primes, prime_divisors, rational_mod, vp)
-from .padic import Ball, PAdicSet, canonicalize, member
+from .padic import Ball, PAdicSet, canonicalize, full_set
 
 __all__ = [
     "IntegerSet", "AdelicCandidate", "closure_in_zp",
@@ -75,6 +75,11 @@ class IntegerSet:
             out = math.lcm(out, c.modulus)
         return out
 
+    def special_primes(self,
+                       config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
+        """The primes of the exclusion modulus, where closures can differ."""
+        return prime_divisors(self.exclusion_modulus, config)
+
     def is_finite(self, config: Config = DEFAULT_CONFIG) -> bool:
         return self.base is not None or covers(0, 1, self.excluded, config)
 
@@ -103,22 +108,31 @@ class IntegerSet:
         return body
 
 
+def _stable_depth(L: int, p: int) -> int:
+    """A depth D where each class mod p^D is disjoint from or dense in an
+    infinite set with exclusion modulus L."""
+    return vp(L, p) + 1
+
+
 def closure_in_zp(e: IntegerSet, p: int,
                   config: Config = DEFAULT_CONFIG) -> PAdicSet:
     """Topological closure of the integer set inside Z_p.
 
-    Finite sets close to themselves.  Otherwise a residue class mod p^D,
-    with D one past the p-valuation of the exclusion modulus, is either
-    disjoint from the set or meets it densely, so the closure is a union
-    of depth-D balls plus the finitely many re-added points.  A class is
-    kept when the exclusions do not cover it; the p^D classes are capped
-    by residue_cap, and so are the nodes of each covering check.
+    Finite sets close to themselves.  At a prime p not dividing the
+    exclusion modulus L an infinite set is dense: by CRT, exclusions with
+    moduli prime to p cover a class mod p^k only if they cover Z.
+    Otherwise the closure is the classes mod p^D, D from _stable_depth,
+    that the exclusions do not cover, plus the re-added points; the p^D
+    classes are capped by residue_cap, and so are the nodes of each
+    covering check.
     """
     if e.is_finite(config):
         return canonicalize(PAdicSet(
             p, points=[Fraction(n) for n in e.finite_elements(config)]))
     L = e.exclusion_modulus
-    depth = vp(L, p) + 1
+    if L % p:
+        return full_set(p)
+    depth = _stable_depth(L, p)
     count = p ** depth
     if count > config.residue_cap:
         raise ResourceLimitError(
@@ -166,13 +180,13 @@ def product_closure_member(e: IntegerSet, x: AdelicCandidate,
     """Membership in the plain product of the per-prime closures.
 
     Coordinates are independent here: each listed value must lie in the
-    closure at its prime, and the unlisted coordinates can be filled with
-    any element as long as the set is nonempty.
+    closure at its prime, the restricted-product closure of that
+    coordinate alone, and the unlisted coordinates can be filled with any
+    element as long as the set is nonempty.
     """
-    if e.is_empty(config):
-        return False
-    return all(member(x_p, closure_in_zp(e, p, config))
-               for p, x_p in x.values)
+    return not e.is_empty(config) and all(
+        adelic_closure_member(e, AdelicCandidate(((p, x_p),)), config)
+        for p, x_p in x.values)
 
 
 def adelic_closure_member(e: IntegerSet, x: AdelicCandidate,
@@ -181,11 +195,11 @@ def adelic_closure_member(e: IntegerSet, x: AdelicCandidate,
 
     Here one single integer must approximate every listed coordinate
     simultaneously to arbitrary depth.  The congruence constraints
-    stabilize one level past the p-part of the exclusion modulus L, so by
-    the Chinese remainder theorem the coordinates fold into one class
-    c mod M, and the candidate is a member iff the exclusions do not
-    cover that class.  An exact rational match with a finite-set element
-    or a re-added extra also settles it.
+    stabilize one level past the p-part of the exclusion modulus L
+    (_stable_depth), so by the Chinese remainder theorem the coordinates
+    fold into one class c mod M, and the candidate is a member iff the
+    exclusions do not cover that class.  An exact rational match with a
+    finite-set element or a re-added extra also settles it.
     """
     # a member z of e equal to every listed coordinate works at all depths
     exact_common = _common_exact_value(x)
@@ -197,7 +211,7 @@ def adelic_closure_member(e: IntegerSet, x: AdelicCandidate,
     L = e.exclusion_modulus
     congruences = []
     for p, x_p in x.values:
-        modulus = p ** (vp(L, p) + 1)
+        modulus = p ** _stable_depth(L, p)
         congruences.append(Congruence(rational_mod(x_p, modulus), modulus))
     # powers of distinct primes are coprime, so the fold always succeeds
     c = crt_solve(congruences)
@@ -231,17 +245,18 @@ def closures_differ(e: IntegerSet,
         a, b = elems[0], elems[1]
         primes = (q for q in iter_primes() if (a - b) % q)
         cand = AdelicCandidate.of({next(primes): a, next(primes): b})
+        # each coordinate is an element of e, and no element equals both
         if (product_closure_member(e, cand, config)
                 and not adelic_closure_member(e, cand, config)):
             return cand
-        return None
+        raise InvariantError(f"{cand} fails to separate the closures of {e}")
 
     # Each excluded class takes, at every prime of L, a closure ball that
     # meets it; the CRT fold of those congruences gives an integer n in
     # every ball.  n lies in an excluded class and is not re-added, so it
     # is outside the restricted-product closure: no adelic test is needed.
     closures = {p: closure_in_zp(e, p, config)
-                for p in prime_divisors(e.exclusion_modulus, config)}
+                for p in e.special_primes(config)}
     for c in e.excluded:
         balls = [_ball_meeting(f, c) for f in closures.values()]
         if None in balls:

@@ -49,7 +49,24 @@ class ParseError(PreconditionError):
     pass
 
 
-def parse_rational(text: str) -> Fraction:
+def _check_digits(text: str, what: str) -> None:
+    """Reject a number longer than sys.get_int_max_str_digits(), naming
+    the field and the limit but never echoing the digits."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run) > limit
+                     for run in re.findall(r"\d+", text.replace("_", ""))):
+        raise ParseError(f"{what} has more than {limit} digits, the limit "
+                         "on reading integers")
+
+
+def _int(text, what: str) -> int:
+    """Read an integer field; a ring's JSON may give a prime as a number."""
+    _check_digits(str(text), what)
+    return int(text)
+
+
+def parse_rational(text: str, what: str = "rational") -> Fraction:
+    _check_digits(text, what)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -92,7 +109,7 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
         name, args = m.group(1), _args(m.group(2))
         if not args:
             raise ParseError(f"component {name} needs a prime")
-        p = int(args[0])
+        p = _int(args[0], "prime")
         if prime is None:
             prime = p
         elif prime != p:
@@ -101,17 +118,19 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
         if name == "ball":
             if len(rest) != 2:
                 raise ParseError("ball takes (p; center, depth)")
-            depth = int(rest[1])
+            depth = _int(rest[1], "ball depth")
             _check_printable(Fraction(1), p, depth, f"ball modulus {p}^{depth}")
-            balls.append(Ball(p, parse_rational(rest[0]), depth))
+            balls.append(Ball(p, parse_rational(rest[0], "ball center"),
+                              depth))
         elif name == "pts":
-            points.extend(parse_rational(a) for a in rest)
+            points.extend(parse_rational(a, "point") for a in rest)
         elif name == "seq":
             if len(rest) != 4 or rest[3] not in ("+lim", "-lim"):
                 raise ParseError(
                     "seq takes (p; limit, scale, start, +lim|-lim)")
-            seq = SeqWithLimit(p, parse_rational(rest[0]),
-                               parse_rational(rest[1]), int(rest[2]),
+            seq = SeqWithLimit(p, parse_rational(rest[0], "sequence limit"),
+                               parse_rational(rest[1], "sequence scale"),
+                               _int(rest[2], "sequence start"),
                                rest[3] == "+lim")
             _check_printable(seq.scale, p, seq.start,
                              f"sequence scale {seq.scale}*{p}^{seq.start}")
@@ -126,7 +145,7 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
         elif name == "power":
             if len(rest) != 1:
                 raise ParseError("power takes (p; exponent)")
-            exponent = int(rest[0])
+            exponent = _int(rest[0], "power exponent")
             _check_printable(Fraction(1), p, exponent, f"{p}^{exponent}")
             points.extend(instantiate(single_power_rule(exponent), p,
                                       config).points)
@@ -150,6 +169,7 @@ def parse_poly(text: str, config: Config = DEFAULT_CONFIG) -> RatPoly:
     product or power whose degree would exceed config.degree_cap before
     computing it.
     """
+    _check_digits(text, "polynomial literal")
     source = text.replace("^", "**").strip()
     try:
         return _poly_of(ast.parse(source, mode="eval").body, source,
@@ -237,7 +257,8 @@ def parse_intset(text: str) -> IntegerSet:
         m = _EXCLUDE.match(rest)
         if not m:
             raise ParseError(f"bad exclusion near {rest!r}")
-        excluded.append(Congruence(int(m.group(1)), int(m.group(2))))
+        excluded.append(Congruence(_int(m.group(1), "residue"),
+                                   _int(m.group(2), "modulus")))
         rest = rest[m.end():].lstrip()
     extra: tuple[int, ...] = ()
     if rest.startswith("U"):
@@ -256,7 +277,7 @@ def _int_list(body: str) -> tuple[int, ...]:
     body = body.strip()
     if not body:
         return ()
-    return tuple(int(x.strip()) for x in body.split(","))
+    return tuple(_int(x, "element") for x in body.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +295,7 @@ def parse_rule(text: str) -> DefaultRule:
     if name in _PLAIN_RULES and body is None:
         return _PLAIN_RULES[name]
     if name == "power" and body is not None:
-        return single_power_rule(int(body.strip()))
+        return single_power_rule(_int(body, "rule exponent"))
     if name == "intset" and body is not None:
         return integer_set_rule(parse_intset(body))
     raise ParseError(f"unknown rule {text!r}")
@@ -294,7 +315,8 @@ def parse_candidate(text: str) -> AdelicCandidate:
         p_txt, _, val = part.partition(":")
         if not val:
             raise ParseError(f"candidate entries look like 'p: value': {part!r}")
-        values[int(p_txt)] = parse_rational(val)
+        values[_int(p_txt, "candidate prime")] = parse_rational(
+            val, "candidate value")
     if not values:
         raise ParseError("empty candidate")
     return AdelicCandidate.of(values)
@@ -327,7 +349,7 @@ def parse_family(text: str,
         p_txt, _, body = part.partition(":")
         if not body:
             raise ParseError(f"family entries look like 'p: set': {part!r}")
-        p = int(p_txt)
+        p = _int(p_txt, "family prime")
         s = parse_set(body, config)
         if s.p != p:
             raise ParseError(f"set for prime {p} uses prime {s.p}")
@@ -359,13 +381,13 @@ def _parse_prime_sets(entries, config: Config) -> dict[int, PAdicSet]:
     {"p": 2, "set": "full(2)"} entries (the list is what format_ring
     emits, the mapping is the convenient hand-written form)."""
     if isinstance(entries, dict):
-        entries = [(int(k), v) for k, v in entries.items()]
+        entries = [(_int(k, "ring prime"), v) for k, v in entries.items()]
     out = {}
     for entry in entries or []:
         if isinstance(entry, dict):
-            p, body = int(entry["p"]), entry["set"]
+            p, body = _int(entry["p"], "ring prime"), entry["set"]
         else:
-            p, body = int(entry[0]), entry[1]
+            p, body = _int(entry[0], "ring prime"), entry[1]
         s = parse_set(body, config)
         if s.p != p:
             raise ParseError(f"set listed for {p} uses prime {s.p}")

@@ -33,8 +33,7 @@ from .exact import (Congruence, Rat, check_prime_arg, covers, is_finite,
 from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
 from .padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
                     empty_set, full_set, is_closed, is_subset,
-                    isolated_points, member, remove_isolated_point,
-                    sets_equal)
+                    isolated_points, member, remove_isolated_point)
 from .polys import IrreduciblePoly, RatPoly, max_valuation, roots_in_set
 
 __all__ = [
@@ -189,7 +188,7 @@ def normalize_rule(rule: DefaultRule,
     if residues is not None:
         return rule if residues else EMPTY_RULE
     if all(instantiate(rule, p, config) == full_set(p)
-           for p in _special_primes(rule, config)):
+           for p in rule.integer_set.special_primes(config)):
         return FULL_RULE
     return rule
 
@@ -215,12 +214,6 @@ def _tail_residues(rule: DefaultRule,
     return None
 
 
-def _special_primes(rule: DefaultRule, config: Config) -> tuple[int, ...]:
-    """The primes of an infinite integer set's exclusion modulus: at every
-    other prime its closure is all of Z_p."""
-    return prime_divisors(rule.integer_set.exclusion_modulus, config)
-
-
 def rule_subset(a: DefaultRule, b: DefaultRule,
                 config: Config = DEFAULT_CONFIG) -> bool:
     """Is the set prescribed by a contained in the one prescribed by b at
@@ -241,7 +234,7 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
     if b_residues is None:      # an infinite integer set
         return all(is_subset(instantiate(a, p, config),
                              instantiate(b, p, config), config)
-                   for p in _special_primes(b, config))
+                   for p in b.integer_set.special_primes(config))
     # no ball fits in a sparse set, no finite set holds p^k at every p,
     # and two powers differ
     return (residues is not None
@@ -794,8 +787,9 @@ def is_simple_integer_set_ring(r: RingSpec,
     kind = r.default.kind
     window = r.window()
 
+    # RingSpec drops window sets equal to the tail's: they agree iff no window
     if kind is RuleKind.EMPTY:
-        if all(r.local_set(p, config).is_empty() for p in window):
+        if not window:
             return (TriState.yes("the empty set works: the ring is Q[X]"),
                     SimpleWitness("empty set", IntegerSet.finite([])))
         return (TriState.no(
@@ -818,9 +812,7 @@ def is_simple_integer_set_ring(r: RingSpec,
 
     if kind is RuleKind.FROM_INTEGER_SET:
         e: IntegerSet = r.default.integer_set
-        if all(sets_equal(r.local_set(p, config),
-                          closure_in_zp(e, p, config))
-               for p in window):
+        if not window:
             return (TriState.yes("the defining integer set itself works"),
                     SimpleWitness(str(e), e))
         return (TriState.unknown(

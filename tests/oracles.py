@@ -448,6 +448,54 @@ def brute_covers(r: int, m: int, classes) -> bool:
                for n in range(r % m, period, m))
 
 
+def brute_product_closure_member(e, x) -> bool:
+    """Is every coordinate x_p of the AdelicCandidate x in the closure of
+    the IntegerSet e at p?  A finite set is its own closure, and a
+    nonempty one is needed to fill the unlisted coordinates.  Otherwise
+    the integers of Z minus the excluded classes are periodic mod L, so
+    with D = vp(L, p) + 1 the coordinate is in the closure iff it is a
+    re-added extra or some such integer in one period mod lcm(L, p^D)
+    agrees with it mod p^D."""
+    def kept(n):
+        return all((n - c.residue) % c.modulus for c in e.excluded)
+    L = math.lcm(1, *(c.modulus for c in e.excluded))
+    if e.base is not None or not any(kept(n) for n in range(L)):
+        elements = {n for n in e.base or () if kept(n)} | set(e.extra)
+        return bool(elements) and all(x_p in elements for _, x_p in x.values)
+    for p, x_p in x.values:
+        m = p ** (brute_int_vp(L, p) + 1)
+        r = x_p.numerator * pow(x_p.denominator, -1, m) % m
+        if x_p not in e.extra and not any(
+                kept(n) for n in range(r, math.lcm(L, m), m)):
+            return False
+    return True
+
+
+def sylvester_resultant(f, g) -> Fraction:
+    """Res(f, g) as the determinant of the Sylvester matrix, by Gaussian
+    elimination over Q.  f and g are coefficient lists, lowest degree
+    first, with nonzero leading coefficients."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = [[0] * i + list(reversed(f)) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(reversed(g)) + [0] * (m - 1 - i) for i in range(m)]
+    rows = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] / rows[col][col]
+            for k in range(col, size):
+                rows[r][k] -= factor * rows[col][k]
+    return det
+
+
 def brute_rule_subset(a, b, primes) -> bool:
     """Does rule a prescribe a subset of what rule b prescribes at every
     prime of primes?  That is the answer at all primes when primes holds

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     brute_hit_residues,
+    brute_product_closure_member,
     is_all_integers,
     brute_simultaneous_hit,
     intset_elements_in_period,
@@ -26,7 +27,7 @@ from ivp.adelic import (
     product_closure_member,
 )
 from ivp.config import Config
-from ivp.errors import PreconditionError, ResourceLimitError
+from ivp.errors import InvariantError, PreconditionError, ResourceLimitError
 from ivp.exact import Congruence, vp
 from ivp.padic import full_set, member, sets_equal
 
@@ -131,6 +132,14 @@ def test_72_set_closures_are_full_everywhere():
         assert sets_equal(closure_in_zp(THE_72_SET, p), full_set(p))
 
 
+@settings(max_examples=60, deadline=None)
+@given(integer_sets, st.sampled_from([5, 7, 11, 10007, 1048583]))
+def test_closure_is_all_of_zp_at_a_prime_outside_the_modulus(e, p):
+    # 1048583 classes mod p would pass the default residue cap of 2^20
+    if not e.is_finite():
+        assert closure_in_zp(e, p) == full_set(p)
+
+
 def test_closure_sees_genuine_exclusion():
     # excluding 1 mod 4 leaves a visible 2-adic hole
     e = IntegerSet.without_classes(Congruence(1, 4))
@@ -175,6 +184,32 @@ def test_hat_closure_contains_the_diagonal_of_elements(e, n):
     x = AdelicCandidate.diagonal(n, (2, 3))
     assert adelic_closure_member(e, x)
     assert product_closure_member(e, x)
+
+
+# moduli dividing 5040, and so 72; finite bases; candidates with rational
+# coordinates at up to four primes, or none
+moduli_of_5040 = st.sampled_from([d for d in range(2, 5041) if 5040 % d == 0])
+wide_integer_sets = st.builds(
+    lambda base, excl, extra: IntegerSet(base=base, excluded=tuple(excl),
+                                         extra=tuple(extra)),
+    st.none() | st.lists(st.integers(-8, 8), max_size=5),
+    st.lists(st.builds(lambda r, m: Congruence(r % m, m),
+                       st.integers(0, 5039), moduli_of_5040), max_size=3),
+    st.lists(st.integers(-50, 50), max_size=2),
+)
+coordinates = st.dictionaries(
+    st.sampled_from([2, 3, 5, 7]),
+    st.tuples(st.integers(-8, 8) | st.integers(-5000, 5000),
+              st.integers(1, 12)),
+    max_size=4,
+).map(lambda d: AdelicCandidate.of({
+    p: Fraction(n, q + 1 if q % p == 0 else q) for p, (n, q) in d.items()}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_integer_sets, coordinates)
+def test_product_membership_matches_the_residue_scan(e, x):
+    assert product_closure_member(e, x) == brute_product_closure_member(e, x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -260,6 +295,15 @@ def test_closures_differ_steps_past_a_re_added_residue():
     assert w == AdelicCandidate.diagonal(7, (2, 3))
     assert product_closure_member(e, w)
     assert not adelic_closure_member(e, w)
+
+
+def test_closures_differ_reports_a_failed_finite_set_witness(monkeypatch):
+    import ivp.adelic
+    monkeypatch.setattr(ivp.adelic, "adelic_closure_member",
+                        lambda *args: True)
+    with pytest.raises(InvariantError, match=r"^2: 0, 3: 1 fails to separate"
+                       r" the closures of \{0, 1\}$"):
+        closures_differ(IntegerSet.finite([0, 1]))
 
 
 def test_unobstructed_sets_report_no_difference():

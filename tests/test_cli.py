@@ -271,9 +271,10 @@ def test_parse_errors_exit_1(capsys):
 
 
 def test_resource_cap_exit_1(capsys):
-    code, _, err = run(capsys, "--residue-cap", "2", "adele-prod",
-                       "--intset", r"Z \ (1 mod 8)", "--candidate", "2: 1")
-    assert code == 1 and "error" in err
+    # the closure at 2 has 16 residue classes to visit
+    code, _, err = run(capsys, "--residue-cap", "2", "adele-diff",
+                       "--intset", r"Z \ (1 mod 8)")
+    assert code == 1 and "16 residue classes at prime 2" in err
     # integer-valuedness evaluates deg f + 1 points and enumerates nothing
     code, out, _ = run(capsys, "--residue-cap", "2", "intval",
                        "--poly", "(X^2 - X)/4", "--set", "full(2)")
@@ -344,9 +345,9 @@ def test_units_and_self_is_capped_before_its_balls_are_built(capsys):
 def test_config_file(tmp_path, capsys):
     path = tmp_path / "limits.cfg"
     path.write_text("residue_cap = 2\n# comment\n")
-    code, _, err = run(capsys, "--config", str(path), "adele-prod",
-                       "--intset", r"Z \ (1 mod 8)", "--candidate", "2: 1")
-    assert code == 1 and "error" in err
+    code, _, err = run(capsys, "--config", str(path), "adele-diff",
+                       "--intset", r"Z \ (1 mod 8)")
+    assert code == 1 and "16 residue classes at prime 2" in err
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n")
     code, _, err = run(capsys, "--config", str(bad), "selftest")
@@ -368,6 +369,33 @@ def test_huge_prime_modulus_is_a_named_error(capsys):
                          r"Z \ (1 mod 1000000007)")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "residue classes at prime" in err
+
+
+def test_closure_questions_at_a_prime_outside_the_modulus_enumerate_nothing(
+        capsys):
+    # an integer set's closure at a prime not dividing its modulus is Z_p,
+    # and product-closure membership is one covering check per coordinate
+    code, out, _ = run(capsys, "adele-prod", "--intset",
+                       r"Z \ (1 mod 1000000007)", "--candidate",
+                       "1000000007: 1")
+    assert code == 0 and out.strip() == "no"
+    ring = ('{"exceptional": {"1048583": "pts(1048583; 0)"}, '
+            '"default": "intset(Z \\\\ (1 mod 4))"}')
+    code, out, _ = run(capsys, "ring-contains", "--r1", ring,
+                       "--r2", '{"default": "full"}')
+    assert code == 0 and out.strip() == "yes"
+
+
+def test_over_long_integer_field_is_one_error_line(capsys):
+    ones = "1" * 5000
+    for argv in (("closure", "--set", f"ball(3; 1, {ones})"),
+                 ("adele-hat", "--intset", rf"Z \ (1 mod {ones})",
+                  "--candidate", "2: 1"),
+                 ("adele-prod", "--intset", "Z", "--candidate", f"2: {ones}")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 4300 digits" in err and ones[:100] not in err
 
 
 def test_failed_selftest_check_exits_1(monkeypatch, capsys):

@@ -3,6 +3,7 @@ input dies with a ParseError rather than a stack trace from deep inside.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,52 @@ def test_balls_past_the_printing_limit_are_refused_before_reduction():
                                r"has about \d+ digits, over the \d+-digit"):
                 parse_set(f"ball(3; {center}, {depth})")
     assert parse_set("ball(3; -1, 9000)").balls[0].depth == 9000
+
+
+# every integer field of the text forms, with N standing for a number one
+# digit past the interpreter's limit on reading integers
+_LONG_FIELDS = [
+    (parse_set, "ball(3; 1, N)", "ball depth"),
+    (parse_set, "ball(3; N, 2)", "ball center"),
+    (parse_set, "ball(N; 1, 2)", "prime"),
+    (parse_set, "pts(3; 1/N)", "point"),
+    (parse_set, "seq(2; N, 1, 0, +lim)", "sequence limit"),
+    (parse_set, "seq(2; 0, N, 0, +lim)", "sequence scale"),
+    (parse_set, "seq(2; 0, 1, N, +lim)", "sequence start"),
+    (parse_set, "power(2; N)", "power exponent"),
+    (parse_intset, "Z \\ (N mod 4)", "residue"),
+    (parse_intset, "Z \\ (1 mod N)", "modulus"),
+    (parse_intset, "{1, N}", "element"),
+    (parse_intset, "Z U {N}", "element"),
+    (parse_rule, "power(N)", "rule exponent"),
+    (parse_candidate, "N: 1", "candidate prime"),
+    (parse_candidate, "2: N", "candidate value"),
+    (parse_family, "N: full(2)", "family prime"),
+    (parse_ring, '{"exceptional": {"N": "full(2)"}}', "ring prime"),
+    (parse_poly, "X + N", "polynomial literal"),
+    (parse_rational, "-N", "rational"),
+]
+
+
+@pytest.mark.parametrize("parse, template, field", _LONG_FIELDS)
+def test_over_long_integer_fields_name_the_field_and_the_limit(
+        parse, template, field):
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 1)
+    with pytest.raises(ParseError) as info:
+        parse(template.replace("N", digits))
+    message = str(info.value)
+    assert message == (f"{field} has more than {limit} digits, the limit on"
+                       " reading integers")
+    assert "7" * limit not in message
+
+
+def test_integer_fields_at_the_digit_limit_are_read():
+    limit = sys.get_int_max_str_digits()
+    n = int("7" * limit)
+    assert parse_intset(f"Z \\ (1 mod {'7' * limit})").excluded[0].modulus == n
+    assert parse_rational(f"1/{'7' * limit}") == Fraction(1, n)
+    assert parse_intset("{1_000}").base == (1000,)
 
 
 @given(padic_sets())

@@ -639,6 +639,27 @@ def test_simple_congruence_ring_witness_validates():
         assert sets_equal(closure_in_zp(w, p), r.local_set(p))
 
 
+def test_simple_empty_and_integer_set_tails_with_and_without_a_window():
+    # a window set equal to the tail's is dropped, so it leaves no window
+    e = IntegerSet.without_classes(Congruence(1, 4))
+    rule = integer_set_rule(e)
+    same = RingSpec({2: closure_in_zp(e, 2), 5: full_set(5)}, rule)
+    assert same.window() == ()
+    verdict, witness = is_simple_integer_set_ring(same)
+    assert verdict.is_yes and witness.integer_set == e
+    other = RingSpec({5: PAdicSet(5, [Ball(5, 0, 1)])}, rule)
+    verdict, witness = is_simple_integer_set_ring(other)
+    assert str(verdict) == ("unknown (exceptional sets differ from the"
+                            " defining set's closures)")
+    assert witness is None
+    verdict, witness = is_simple_integer_set_ring(
+        RingSpec({3: PAdicSet(3)}, EMPTY_RULE))
+    assert verdict.is_yes and witness.integer_set.is_empty()
+    verdict, witness = is_simple_integer_set_ring(
+        RingSpec({3: PAdicSet(3, points=[0])}, EMPTY_RULE))
+    assert verdict.is_no and witness is None
+
+
 def test_simple_full_tail_assembles_ball_windows_by_crt():
     local = {2: PAdicSet(2, [Ball(2, 1, 3)]),
              3: PAdicSet(3, [Ball(3, 2, 1), Ball(3, 0, 2)])}

@@ -426,6 +426,22 @@ def test_isolated_point_inside_ball_is_not_isolated():
     assert iso.explicit == () and iso.tails == ()
 
 
+# {2^n} and {4 + 2^n}, with their limits 0 and 4 = 2^2
+TWO_RAYS = PAdicSet(2, seqs=[SeqWithLimit(2, 0, 1, 0, True),
+                             SeqWithLimit(2, 4, 1, 0, True)])
+
+
+def test_isolated_points_skip_limits_and_keep_elements_outside_balls():
+    # 1 = 2^0 comes before the ball bound and lies outside ball(2, 3, 2)
+    s = PAdicSet(2, [Ball(2, 3, 2)], seqs=[SeqWithLimit(2, 0, 1, 0, True)])
+    iso = isolated_points(s)
+    assert iso.explicit == (1,) and [t.from_n for t in iso.tails] == [1]
+    # 4 is the second sequence's limit, so only 1 and 2 precede the tail
+    iso = isolated_points(TWO_RAYS)
+    assert iso.explicit == (1, 2)
+    assert [t.from_n for t in iso.tails] == [3, 0]
+
+
 def test_remove_isolated_point_frozen():
     s = canonicalize(point_set(5, 1, 2))
     out = remove_isolated_point(s, 1)
@@ -437,6 +453,10 @@ def test_remove_isolated_point_frozen():
     deep = closure(PAdicSet(3, seqs=[SeqWithLimit(3, 2, 1, 1000)]))
     out = remove_isolated_point(deep, 2 + 3 ** 1000)
     assert sets_equal(out, PAdicSet(3, seqs=[SeqWithLimit(3, 2, 1, 1001)]))
+    # the second sequence does not list 2 and stays as it is
+    out = remove_isolated_point(TWO_RAYS, 2)
+    assert sets_equal(out, PAdicSet(2, points=[1], seqs=[
+        SeqWithLimit(2, 0, 1, 2, True), SeqWithLimit(2, 4, 1, 0, True)]))
     with pytest.raises(PreconditionError):
         remove_isolated_point(full_set(5), 0)
 

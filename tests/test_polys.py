@@ -22,6 +22,7 @@ from oracles import (
     rabin_irreducible,
     rational_roots,
     root_residues,
+    sylvester_resultant,
 )
 
 import ivp.polys as polys
@@ -84,6 +85,21 @@ def test_resultant_known_values():
     # res(X^2 - 1, X - 1) = 0 (shared root); res(X^2 + 1, X - 1) = 2
     assert resultant(P(-1, 0, 1), P(-1, 1)) == 0
     assert resultant(P(1, 0, 1), P(-1, 1)) == 2
+    # res(X^3 + 1, X) = -res(X, X^3 + 1) = -1
+    assert resultant(P(1, 0, 0, 1), P(0, 1)) == -1
+
+
+def _odd_degree_coeffs():
+    return st.sampled_from([1, 3, 5]).flatmap(lambda d: st.tuples(
+        st.lists(st.integers(-5, 5), min_size=d, max_size=d),
+        st.integers(-5, 5).filter(bool)).map(lambda t: t[0] + [t[1]]))
+
+
+@settings(max_examples=200)
+@given(_odd_degree_coeffs(), _odd_degree_coeffs())
+def test_resultant_of_odd_degrees_matches_the_sylvester_determinant(f, g):
+    # each Euclidean step between two odd degrees flips the sign
+    assert resultant(P(*f), P(*g)) == sylvester_resultant(f, g)
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))

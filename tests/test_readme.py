@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from ivp import cli
+from ivp.config import Config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 _COMMENT = re.compile(r"\s+#.*$")
@@ -54,3 +55,11 @@ def test_readme_example(command, expected, capsys):
         assert out.splitlines() == expected
     else:
         assert json.loads(out) == want
+
+
+def test_limits_section_names_every_config_field():
+    limits = re.search(r"### Limits\n(.*?)\n#", README.read_text(),
+                       re.DOTALL).group(1)
+    for field in Config.__dataclass_fields__:
+        flag = "--" + field.replace("_", "-")
+        assert f"`{field}`" in limits or f"`{flag}`" in limits, field
