@@ -51,6 +51,7 @@ class IntegerSet:
 
     @classmethod
     def all_integers(cls) -> "IntegerSet":
+        """Z itself.  Public API: nothing in the library calls it."""
         return cls()
 
     @classmethod

@@ -295,6 +295,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_flag(text: str) -> int:
+    """The type of the integer flags: dsl's digit-limited reader.  Its
+    error becomes ArgumentTypeError, which argparse prints as it is, so an
+    over-long value is named by the limit and never echoed."""
+    try:
+        return dsl.parse_int(text, "value")
+    except dsl.ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -302,10 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     common.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS,
                         help="key=value file overriding resource limits")
-    common.add_argument("--residue-cap", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--degree-cap", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--prime-scan-bound", type=int,
-                        default=argparse.SUPPRESS)
+    for flag in ("--residue-cap", "--degree-cap", "--prime-scan-bound"):
+        common.add_argument(flag, type=_int_flag, default=argparse.SUPPRESS)
 
     parser = _Parser(
         prog="ivp",
@@ -352,19 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
         rep=req, ring=req)
     add("unitary-contains", _cmd_unitary_contains,
         "is the valuation ring at (p, alpha) forced",
-        rep=req, p={"required": True, "type": int}, alpha=req)
+        rep=req, p={"required": True, "type": _int_flag}, alpha=req)
     add("nonunitary-contains", _cmd_nonunitary_contains,
         "is the valuation ring of q forced",
         rep=req, poly=req)
     add("superfluous", _cmd_superfluous, "can the factor be dropped",
-        rep=req, p={"type": int}, alpha={}, poly={})
+        rep=req, p={"type": _int_flag}, alpha={}, poly={})
     add("min-ext", _cmd_min_ext, "minimal ring extensions at p",
-        ring=req, p={"required": True, "type": int})
+        ring=req, p={"required": True, "type": _int_flag})
     add("irredundant", _cmd_irredundant,
         "does an irredundant representation exist",
         ring=req)
     add("localize", _cmd_localize, "keep only the constraint at p",
-        ring=req, p={"required": True, "type": int})
+        ring=req, p={"required": True, "type": _int_flag})
     add("globalize", _cmd_globalize, "assemble a ring from per-prime sets",
         family=req, default={"default": "empty"})
     add("simple", _cmd_simple, "is the ring cut out by one set of integers",

@@ -38,9 +38,9 @@ from .padic import Ball, PAdicSet, SeqWithLimit
 from .polys import IrreduciblePoly, RatPoly
 
 __all__ = [
-    "parse_rational", "parse_set", "parse_poly", "parse_irreducible",
-    "parse_intset", "parse_rule", "parse_candidate", "parse_family",
-    "parse_ring", "format_ring", "parse_representation",
+    "parse_int", "parse_rational", "parse_set", "parse_poly",
+    "parse_irreducible", "parse_intset", "parse_rule", "parse_candidate",
+    "parse_family", "parse_ring", "format_ring", "parse_representation",
     "format_representation",
 ]
 
@@ -59,8 +59,9 @@ def _check_digits(text: str, what: str) -> None:
                          "on reading integers")
 
 
-def _int(text, what: str) -> int:
-    """Read an integer field; a ring's JSON may give a prime as a number."""
+def parse_int(text, what: str) -> int:
+    """Read an integer field named `what`; a ring's JSON may give a prime
+    as a number.  Over-long digits raise ParseError, naming the field."""
     _check_digits(str(text), what)
     return int(text)
 
@@ -109,7 +110,7 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
         name, args = m.group(1), _args(m.group(2))
         if not args:
             raise ParseError(f"component {name} needs a prime")
-        p = _int(args[0], "prime")
+        p = parse_int(args[0], "prime")
         if prime is None:
             prime = p
         elif prime != p:
@@ -118,7 +119,7 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
         if name == "ball":
             if len(rest) != 2:
                 raise ParseError("ball takes (p; center, depth)")
-            depth = _int(rest[1], "ball depth")
+            depth = parse_int(rest[1], "ball depth")
             _check_printable(Fraction(1), p, depth, f"ball modulus {p}^{depth}")
             balls.append(Ball(p, parse_rational(rest[0], "ball center"),
                               depth))
@@ -130,7 +131,7 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
                     "seq takes (p; limit, scale, start, +lim|-lim)")
             seq = SeqWithLimit(p, parse_rational(rest[0], "sequence limit"),
                                parse_rational(rest[1], "sequence scale"),
-                               _int(rest[2], "sequence start"),
+                               parse_int(rest[2], "sequence start"),
                                rest[3] == "+lim")
             _check_printable(seq.scale, p, seq.start,
                              f"sequence scale {seq.scale}*{p}^{seq.start}")
@@ -145,7 +146,7 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
         elif name == "power":
             if len(rest) != 1:
                 raise ParseError("power takes (p; exponent)")
-            exponent = _int(rest[0], "power exponent")
+            exponent = parse_int(rest[0], "power exponent")
             _check_printable(Fraction(1), p, exponent, f"{p}^{exponent}")
             points.extend(instantiate(single_power_rule(exponent), p,
                                       config).points)
@@ -257,8 +258,8 @@ def parse_intset(text: str) -> IntegerSet:
         m = _EXCLUDE.match(rest)
         if not m:
             raise ParseError(f"bad exclusion near {rest!r}")
-        excluded.append(Congruence(_int(m.group(1), "residue"),
-                                   _int(m.group(2), "modulus")))
+        excluded.append(Congruence(parse_int(m.group(1), "residue"),
+                                   parse_int(m.group(2), "modulus")))
         rest = rest[m.end():].lstrip()
     extra: tuple[int, ...] = ()
     if rest.startswith("U"):
@@ -277,7 +278,7 @@ def _int_list(body: str) -> tuple[int, ...]:
     body = body.strip()
     if not body:
         return ()
-    return tuple(_int(x, "element") for x in body.split(","))
+    return tuple(parse_int(x, "element") for x in body.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,7 @@ def parse_rule(text: str) -> DefaultRule:
     if name in _PLAIN_RULES and body is None:
         return _PLAIN_RULES[name]
     if name == "power" and body is not None:
-        return single_power_rule(_int(body, "rule exponent"))
+        return single_power_rule(parse_int(body, "rule exponent"))
     if name == "intset" and body is not None:
         return integer_set_rule(parse_intset(body))
     raise ParseError(f"unknown rule {text!r}")
@@ -315,7 +316,7 @@ def parse_candidate(text: str) -> AdelicCandidate:
         p_txt, _, val = part.partition(":")
         if not val:
             raise ParseError(f"candidate entries look like 'p: value': {part!r}")
-        values[_int(p_txt, "candidate prime")] = parse_rational(
+        values[parse_int(p_txt, "candidate prime")] = parse_rational(
             val, "candidate value")
     if not values:
         raise ParseError("empty candidate")
@@ -349,7 +350,7 @@ def parse_family(text: str,
         p_txt, _, body = part.partition(":")
         if not body:
             raise ParseError(f"family entries look like 'p: set': {part!r}")
-        p = _int(p_txt, "family prime")
+        p = parse_int(p_txt, "family prime")
         s = parse_set(body, config)
         if s.p != p:
             raise ParseError(f"set for prime {p} uses prime {s.p}")
@@ -363,15 +364,21 @@ def parse_family(text: str,
 # rings and representations (JSON with DSL leaves)
 # ---------------------------------------------------------------------------
 
+def _json_int(digits: str) -> int:
+    # every JSON number is read through parse_int: an over-long one is
+    # named, never echoed, and never reaches the interpreter's own error
+    return parse_int(digits, "ring JSON number")
+
+
 def _load_json(text_or_obj):
     if isinstance(text_or_obj, dict):
         return text_or_obj
     text = text_or_obj.strip()
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None
 
@@ -381,13 +388,14 @@ def _parse_prime_sets(entries, config: Config) -> dict[int, PAdicSet]:
     {"p": 2, "set": "full(2)"} entries (the list is what format_ring
     emits, the mapping is the convenient hand-written form)."""
     if isinstance(entries, dict):
-        entries = [(_int(k, "ring prime"), v) for k, v in entries.items()]
+        entries = [(parse_int(k, "ring prime"), v)
+                   for k, v in entries.items()]
     out = {}
     for entry in entries or []:
         if isinstance(entry, dict):
-            p, body = _int(entry["p"], "ring prime"), entry["set"]
+            p, body = parse_int(entry["p"], "ring prime"), entry["set"]
         else:
-            p, body = _int(entry[0], "ring prime"), entry[1]
+            p, body = parse_int(entry[0], "ring prime"), entry[1]
         s = parse_set(body, config)
         if s.p != p:
             raise ParseError(f"set listed for {p} uses prime {s.p}")

@@ -1,12 +1,15 @@
 """Integer-valued polynomials on representable p-adic sets.
 
-Integer-valuedness on a ball c + p^k Z_p is decided by the Polya
-criterion: f is integral on the ball iff f(c + p^k Y) is integral on
-Z_p, which holds iff it is integral at Y = 0, 1, ..., deg f.  Those
-points c + p^k j form a p-ordering of the ball in closed form (Bhargava,
-J. reine angew. Math. 490, 1997).  With f = g/d and m = vp(d) the value
-also only depends on the argument mod p^m, so at most p^(m-k) of them
-are needed.  Either bound alone is exact, and the check is finite even
+Integer-valuedness is decided by one Polya bound per component of the
+set.  With f = g/d and m = vp(d), f is integral at x iff g(x) = 0 mod p^m,
+and that only depends on x mod p^m, so every test point is evaluated in
+Z/p^m.  A ball c + p^k Z_p has the p-ordering c + p^k j in closed form; a
+closed sequence {L} u {L + u p^(v+n) : n >= start} has the p-ordering L,
+then its elements in order (Bhargava, J. reine angew. Math. 490, 1997).
+By Bhargava's criterion the first deg f + 1 terms of a p-ordering decide a
+component, and its residues mod p^m bound it too: a ball has p^(m-k)
+of them, and a sequence element agrees with the limit mod p^m from the
+exponent m on.  Either bound alone is exact, and the check is finite even
 when the set has infinite components.  It also shows closure invariance:
 a polynomial is integer valued on S iff it is on the topological closure
 of S.
@@ -33,13 +36,16 @@ def is_integer_valued(f: RatPoly, s: PAdicSet,
                       config: Config = DEFAULT_CONFIG) -> bool:
     """Does f map every element of s into Z_p (p the set's prime)?
 
-    True vacuously on the empty set.  With f = g/d and m = vp(d), the
-    value vp(f(x)) is >= 0 iff g(x) = 0 mod p^m, which Horner's rule
-    checks in Z/p^m.  A ball of depth k is checked at its points c + p^k j
-    for j < min(deg f + 1, p^(m-k)): the first deg f + 1 of them decide it
-    by the Polya criterion, and the first p^(m-k) are all its residues
-    mod p^m.  Sequences check finitely many early elements before their
-    residues stabilize.
+    True vacuously on the empty set.  With f = g/d and m = vp(d), f is
+    integral at x iff g(x) = 0 mod p^m, so g's coefficients are reduced
+    mod p^m once and every test point is one Horner pass in Z/p^m.  Each
+    component is read along its p-ordering up to its Polya bound:
+    - a ball of depth k at c + p^k j for j < min(deg f + 1, p^(m-k));
+    - a point at itself;
+    - a sequence at its limit, then at its first min(deg f, m - head)
+      elements, head = valuation + start being the exponent of the first.
+    The first deg f + 1 terms of a p-ordering decide a component, and past
+    its residues mod p^m every term repeats one already checked.
     """
     p = s.p
     m = vp(f.denominator, p)
@@ -48,30 +54,36 @@ def is_integer_valued(f: RatPoly, s: PAdicSet,
     if m == 0:
         return True
     modulus = p ** m
+    coeffs = [c % modulus for c in reversed(f.coeffs)]
 
-    def num_ok(x: Rat) -> bool:
-        # g(x) = g(x mod p^m) mod p^m for p-integral x: Horner in Z/p^m
-        x, acc = rational_mod(x, modulus), 0
-        for c in reversed(f.coeffs):
+    def root(x: int) -> bool:
+        # x already reduced mod p^m: is g(x) = 0 in Z/p^m?
+        acc = 0
+        for c in coeffs:
             acc = (acc * x + c) % modulus
         return acc == 0
 
+    degree = f.degree
     for ball in s.balls:
-        step = p ** ball.depth
-        count = min(f.degree + 1, p ** max(m - ball.depth, 0))
-        for j in range(count):
-            if not num_ok(ball.center + j * step):
+        x, step = ball.center % modulus, pow(p, ball.depth, modulus)
+        for _ in range(min(degree + 1, p ** max(m - ball.depth, 0))):
+            if not root(x):
                 return False
+            x = (x + step) % modulus
     for x in s.points:
-        if not num_ok(x):
+        if not root(rational_mod(x, modulus)):
             return False
     for seq in s.seqs:
-        if not num_ok(seq.limit):
+        limit = rational_mod(seq.limit, modulus)
+        if not root(limit):
             return False                # forces the whole stabilized tail
-        # from exponent m on, every element agrees with the limit mod p^m
-        for n in range(seq.start, m - seq.valuation):
-            if not num_ok(seq.element(n)):
+        # term = unit * p^(valuation + n) mod p^m for n = start, start + 1, ...
+        term = rational_mod(seq.unit, modulus) * pow(p, seq.head, modulus)
+        term %= modulus
+        for _ in range(max(min(degree, m - seq.head), 0)):
+            if not root((limit + term) % modulus):
                 return False
+            term = term * p % modulus
     return True
 
 

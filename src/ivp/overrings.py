@@ -305,7 +305,8 @@ class RingSpec:
 
     @classmethod
     def rationals(cls) -> "RingSpec":
-        """Q[X]: every local set is empty."""
+        """Q[X]: every local set is empty.  Public API: nothing in the
+        library calls it."""
         return cls({}, EMPTY_RULE)
 
     @classmethod
@@ -691,6 +692,9 @@ class MinimalExtensionFamily:
         return self.seq.element(n)
 
     def ring_at(self, n: int, config: Config = DEFAULT_CONFIG) -> "RingSpec":
+        """The minimal extension at index n: the base ring with the pinned
+        value of that index dropped.  Public API: nothing in the library
+        calls it."""
         return _drop_point(self.base, self.prime, self.value_at(n), config)
 
 

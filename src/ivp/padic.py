@@ -59,6 +59,8 @@ class Ball:
                 and d.numerator % self.p ** self.depth == 0)
 
     def contains_ball(self, other: "Ball") -> bool:
+        """Is the ball `other` inside this one?  Public API: nothing in the
+        library calls it."""
         return (self.depth <= other.depth
                 and (other.center - self.center) % (self.p ** self.depth) == 0)
 

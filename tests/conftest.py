@@ -27,7 +27,7 @@ def balls(p: int):
                      p_integral(p), st.integers(0, 5))
 
 
-def seqs(p: int):
+def seqs(p: int, max_start: int = 2):
     def build(limit, scale_num, scale_exp, start, include):
         # scale = scale_num * p**scale_exp with vp(scale) + start >= 0
         scale = Fraction(scale_num) * Fraction(p) ** scale_exp
@@ -35,29 +35,34 @@ def seqs(p: int):
 
     unit_nums = [n for n in (-7, -3, -1, 1, 2, 3, 5) if n % p != 0]
     return st.builds(build, p_integral(p, 20), st.sampled_from(unit_nums),
-                     st.integers(0, 3), st.integers(0, 2), st.booleans())
+                     st.integers(0, 3), st.integers(0, max_start), st.booleans())
 
 
 @st.composite
-def padic_sets(draw, p=None, max_balls=2, max_points=3, max_seqs=2):
+def padic_sets(draw, p=None, max_balls=2, max_points=3, max_seqs=2,
+               max_start=2):
     if p is None:
         p = draw(primes)
     return PAdicSet(
         p,
         balls=draw(st.lists(balls(p), max_size=max_balls)),
         points=draw(st.lists(p_integral(p), max_size=max_points)),
-        seqs=draw(st.lists(seqs(p), max_size=max_seqs)),
+        seqs=draw(st.lists(seqs(p, max_start), max_size=max_seqs)),
     )
 
 
 @st.composite
-def rational_polys(draw, p=None, max_degree=4):
+def rational_polys(draw, p=None, max_degree=4, coeff_bound=30,
+                   max_exponent=4):
     """Polynomials with denominators supported at 2 and 3 (and the set's
-    prime when given), so integer-valuedness questions are nontrivial."""
+    prime when given, up to p^max_exponent), so integer-valuedness
+    questions are nontrivial."""
     from ivp.polys import RatPoly
     degree = draw(st.integers(0, max_degree))
-    nums = [draw(st.integers(-30, 30)) for _ in range(degree + 1)]
+    nums = [draw(st.integers(-coeff_bound, coeff_bound))
+            for _ in range(degree + 1)]
     if p is None:
         p = draw(primes)
-    den = p ** draw(st.integers(0, 4)) * draw(st.sampled_from([1, 1, 2, 3]))
+    den = (p ** draw(st.integers(0, max_exponent))
+           * draw(st.sampled_from([1, 1, 2, 3])))
     return RatPoly(nums, den)

@@ -391,11 +391,46 @@ def test_over_long_integer_field_is_one_error_line(capsys):
     for argv in (("closure", "--set", f"ball(3; 1, {ones})"),
                  ("adele-hat", "--intset", rf"Z \ (1 mod {ones})",
                   "--candidate", "2: 1"),
-                 ("adele-prod", "--intset", "Z", "--candidate", f"2: {ones}")):
+                 ("adele-prod", "--intset", "Z", "--candidate", f"2: {ones}"),
+                 ("ring-contains", "--r2", "{}", "--r1",
+                  '{"exceptional": [{"p": %s, "set": "full(2)"}]}' % ones)):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than 4300 digits" in err and ones[:100] not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("localize", "--ring", "{}", "--p"),
+    ("min-ext", "--ring", "{}", "--p"),
+    ("unitary-contains", "--rep", "{}", "--alpha", "1", "--p"),
+    ("superfluous", "--rep", "{}", "--p"),
+    ("localize", "--ring", "{}", "--p", "2", "--residue-cap"),
+    ("localize", "--ring", "{}", "--p", "2", "--degree-cap"),
+    ("localize", "--ring", "{}", "--p", "2", "--prime-scan-bound"),
+    ("--residue-cap",),
+])
+def test_over_long_integer_flag_is_named_not_echoed(monkeypatch, capsys,
+                                                    argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "1" * 5000])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.split("\nerror: ")
+    assert usage.startswith("usage: ivp") and "1" * 100 not in usage
+    assert error == (f"argument {argv[-1]}: value has more than 4300 digits,"
+                     " the limit on reading integers\n")
+    if argv[0] == "localize":
+        assert len(captured.err.encode()) < 300
+
+
+def test_malformed_integer_flag_keeps_the_argparse_message(capsys):
+    with pytest.raises(SystemExit):
+        main(["localize", "--ring", "{}", "--p", "abc"])
+    err = capsys.readouterr().err
+    assert err.endswith("\nerror: argument --p: invalid int value: 'abc'\n")
 
 
 def test_failed_selftest_check_exits_1(monkeypatch, capsys):
@@ -415,11 +450,12 @@ def test_handler_recursion_error_exits_1(monkeypatch, capsys):
 
 
 def test_no_assert_statements_in_the_library():
-    # asserts vanish under python -O; internal checks raise InvariantError
-    for path in Path(ivp.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        assert not [node for node in ast.walk(tree)
-                    if isinstance(node, ast.Assert)], path.name
+    # asserts vanish under python -O; internal checks raise a named IvpError
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(ivp.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_no_unused_imports_in_the_library():

@@ -132,6 +132,8 @@ _LONG_FIELDS = [
     (parse_candidate, "2: N", "candidate value"),
     (parse_family, "N: full(2)", "family prime"),
     (parse_ring, '{"exceptional": {"N": "full(2)"}}', "ring prime"),
+    (parse_ring, '{"exceptional": [{"p": N, "set": "full(2)"}]}',
+     "ring JSON number"),
     (parse_poly, "X + N", "polynomial literal"),
     (parse_rational, "-N", "rational"),
 ]
@@ -148,6 +150,17 @@ def test_over_long_integer_fields_name_the_field_and_the_limit(
     assert message == (f"{field} has more than {limit} digits, the limit on"
                        " reading integers")
     assert "7" * limit not in message
+
+
+def test_over_long_number_in_a_ring_file_names_the_limit(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "ring.json"
+    path.write_text('{"exceptional": [{"p": %s, "set": "full(2)"}]}'
+                    % ("7" * (limit + 1)))
+    with pytest.raises(ParseError) as info:
+        parse_ring(f"@{path}")
+    assert str(info.value) == (f"ring JSON number has more than {limit}"
+                               " digits, the limit on reading integers")
 
 
 def test_integer_fields_at_the_digit_limit_are_read():

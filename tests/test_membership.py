@@ -40,10 +40,43 @@ def P(*coeffs):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_integer_valued_matches_oracle(data):
+    # coefficients up to 2^256 at degree up to 8 against p^m <= 2^12 (the
+    # strategy's extra factor 2 or 3 included): the deg f + 1 bound decides
+    # some draws and the p^m residues others, in balls and in sequences
     p = data.draw(primes)
-    s = data.draw(padic_sets(p=p))
-    f = data.draw(rational_polys(p=p))
+    top = max(e for e in range(12) if p ** (e + 1) <= 2 ** 12)
+    s = data.draw(padic_sets(p=p, max_start=6))
+    f = data.draw(rational_polys(p=p, max_degree=8, coeff_bound=2 ** 256,
+                                 max_exponent=top))
     assert is_integer_valued(f, s) == brute_int_valued(f, s)
+    # the border between yes and no: a product over the first terms of one
+    # component's p-ordering, over the largest power of p (up to p^top)
+    # that the oracle finds integral on s, and over one more
+    orderings = ([[b.center + p ** b.depth * j for j in range(9)]
+                  for b in s.balls]
+                 + [[q.limit] + [q.element(q.start + i) for i in range(8)]
+                    for q in s.seqs])
+    if orderings:
+        terms = data.draw(st.sampled_from(orderings))
+        product = RatPoly.constant(1)
+        for a in terms[:data.draw(st.integers(1, 9))]:
+            product = product * P(-a, 1)
+
+        def over(k):
+            return product * Fraction(1, p ** k)
+        e = 0
+        while e < top and brute_int_valued(over(e + 1), s):
+            e += 1
+        for k in (e, e + 1):
+            assert is_integer_valued(over(k), s) == brute_int_valued(over(k), s)
+
+
+def choose(f, k):
+    """C(f, k) = f (f - 1) ... (f - k + 1) / k!."""
+    out = RatPoly.constant(1)
+    for i in range(k):
+        out = out * (f - RatPoly.constant(i)) * Fraction(1, i + 1)
+    return out
 
 
 def test_integer_valued_frozen_cases():
@@ -55,6 +88,29 @@ def test_integer_valued_frozen_cases():
     assert is_integer_valued(half_norm, odd)                # x odd: x^2+1 even
     quarter = P(Fraction(1, 4), 0, Fraction(1, 4))          # (X^2 + 1)/4
     assert not is_integer_valued(quarter, odd)              # x^2+1 = 2 mod 4
+    # X(X - 1)(X - 2)(X - 4)/4: the 4 residues mod 4 decide before the
+    # deg f + 1 = 5 Polya points, and only the last one, 3, fails
+    last_residue = P(0, -1, 1) * P(-2, 1) * P(-4, 1) * Fraction(1, 4)
+    assert not is_integer_valued(last_residue, full_set(2))
+
+    # C(uX + c, 64) has 20,256-bit coefficients; only their residues mod
+    # p^m, m = vp(64!) at most, take part in the check
+    huge = choose(P(3 ** 200 + 1, 5 ** 20), 64)
+    assert max(abs(c) for c in huge.coeffs).bit_length() > 20000
+    for p in (2, 3):
+        union = PAdicSet(p, balls=[Ball(p, 1, 2)], points=[Fraction(2, 5)],
+                         seqs=[SeqWithLimit(p, 7, Fraction(3, 7), 1)])
+        for s in (full_set(p), union):
+            assert is_integer_valued(huge, s)
+            off = huge + RatPoly.constant(Fraction(1, p))
+            assert not is_integer_valued(off, s)
+
+    # {3} u {3 + 5 * 2^n : n >= 2}, so e_2 = 23 and e_3 = 43: at e_n the
+    # product (X - 3)(X - 23) has valuation n + 2 (n >= 3), least at e_3
+    seq = PAdicSet(2, seqs=[SeqWithLimit(2, 3, 5, 2)])
+    product = P(-3, 1) * P(-23, 1)
+    assert is_integer_valued(product * Fraction(1, 2 ** 5), seq)
+    assert not is_integer_valued(product * Fraction(1, 2 ** 6), seq)
 
 
 def test_integer_valued_past_the_residue_cap():
