@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import adelic, dsl, membership, overrings, padic, polys
@@ -50,17 +51,17 @@ def _cmd_closure(args, config):
 def _cmd_subset(args, config):
     a = dsl.parse_set(args.a, config)
     b = dsl.parse_set(args.b, config)
-    return _bool_result(padic.is_subset(a, b, config))
+    return _bool_result(padic.is_subset(a, b))
 
 
 def _cmd_dense(args, config):
     e = dsl.parse_set(args.e, config)
     f = dsl.parse_set(args.f, config)
-    return _bool_result(padic.is_dense_in(e, f, config))
+    return _bool_result(padic.is_dense_in(e, f))
 
 
 def _cmd_isolated(args, config):
-    iso = padic.isolated_points(dsl.parse_set(args.set, config), config)
+    iso = padic.isolated_points(dsl.parse_set(args.set, config))
     payload = {
         "explicit": [str(x) for x in iso.explicit],
         "tails": [{"seq": str(t.seq), "from": t.from_n} for t in iso.tails],
@@ -104,7 +105,7 @@ def _cmd_maxval(args, config):
 def _cmd_intval(args, config):
     f = dsl.parse_poly(args.poly, config)
     s = dsl.parse_set(args.set, config)
-    return _bool_result(membership.is_integer_valued(f, s, config))
+    return _bool_result(membership.is_integer_valued(f, s))
 
 
 def _cmd_witness(args, config):
@@ -258,7 +259,7 @@ def _cmd_selftest(args, config):
           "0 is a limit point outside seq(2; 0, 1, 0, -lim)")
     checks += 1
     f = dsl.parse_poly("(X^2 - X)/2")
-    check(membership.is_integer_valued(f, padic.full_set(2), config),
+    check(membership.is_integer_valued(f, padic.full_set(2)),
           "(X^2 - X)/2 is integer valued on Z_2")
     checks += 1
     q = dsl.parse_irreducible("X^2 - 17", config)
@@ -394,14 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args) -> Config:
     config = load_config_file(args.config) if args.config else DEFAULT_CONFIG
-    overrides = {}
-    if args.residue_cap is not None:
-        overrides["residue_cap"] = args.residue_cap
-    if args.degree_cap is not None:
-        overrides["degree_cap"] = args.degree_cap
-    if args.prime_scan_bound is not None:
-        overrides["prime_scan_bound"] = args.prime_scan_bound
-    return config.with_overrides(**overrides) if overrides else config
+    overrides = {key: getattr(args, key)
+                 for key in ("residue_cap", "degree_cap", "prime_scan_bound")
+                 if getattr(args, key) is not None}
+    return replace(config, **overrides)
 
 
 # the common flags use SUPPRESS defaults so that a value given before the

@@ -9,7 +9,7 @@ turn an answer into an explicit resource error, never into a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,6 @@ class Config:
     prime_scan_bound: int = 10_000
     # bounded search size for separating polynomials
     search_degree_cap: int = 256
-
-    def with_overrides(self, **kwargs) -> "Config":
-        return replace(self, **kwargs)
 
 
 DEFAULT_CONFIG = Config()

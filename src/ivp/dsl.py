@@ -374,10 +374,10 @@ def _load_json(text_or_obj):
     if isinstance(text_or_obj, dict):
         return text_or_obj
     text = text_or_obj.strip()
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return json.load(fh, parse_int=_json_int)
     try:
+        if text.startswith("@"):
+            with open(text[1:]) as fh:
+                return json.load(fh, parse_int=_json_int)
         return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None

@@ -193,6 +193,8 @@ def covers(residue: int, modulus: int, classes: Sequence[Congruence],
     relative modulus mᵢ/gcd(M, mᵢ); M then grows towards the lcm of the
     mᵢ, where one of the first two answers must hold.  Deciding covering
     systems is hard in general, so the nodes are capped by residue_cap.
+    It serves integer sets only: the p-adic set algebra takes no Config,
+    since canonical balls are nested or disjoint.
     """
     stack = [(residue % modulus, modulus, tuple(classes))]
     nodes = 1

@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-def is_integer_valued(f: RatPoly, s: PAdicSet,
-                      config: Config = DEFAULT_CONFIG) -> bool:
+def is_integer_valued(f: RatPoly, s: PAdicSet) -> bool:
     """Does f map every element of s into Z_p (p the set's prime)?
 
     True vacuously on the empty set.  With f = g/d and m = vp(d), f is
@@ -218,7 +217,7 @@ def separating_polynomial(e: PAdicSet, alpha: Rat,
             "separator search exceeded the degree cap",
             config.search_degree_cap, config.search_degree_cap)
 
-    if not is_integer_valued(result, f_closed, config):
+    if not is_integer_valued(result, f_closed):
         raise InvariantError("separator failed validation on the set")
     if vp(result.eval_at(alpha), p) >= 0:
         raise InvariantError("separator failed validation at alpha")

@@ -28,8 +28,8 @@ from typing import Optional
 from .adelic import IntegerSet, closure_in_zp
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
-from .exact import (Congruence, Rat, check_prime_arg, covers, is_finite,
-                    is_prime, iter_primes, prime_divisors)
+from .exact import (Congruence, Rat, check_prime_arg, is_finite, is_prime,
+                    iter_primes, prime_divisors)
 from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
 from .padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
                     empty_set, full_set, is_closed, is_subset,
@@ -233,7 +233,7 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
     b_residues = _tail_residues(b, config)
     if b_residues is None:      # an infinite integer set
         return all(is_subset(instantiate(a, p, config),
-                             instantiate(b, p, config), config)
+                             instantiate(b, p, config))
                    for p in b.integer_set.special_primes(config))
     # no ball fits in a sparse set, no finite set holds p^k at every p,
     # and two powers differ
@@ -246,14 +246,14 @@ def rule_subset(a: DefaultRule, b: DefaultRule,
 # ring descriptions
 # ---------------------------------------------------------------------------
 
-def _sets_by_prime(sets, config: Config):
+def _sets_by_prime(sets):
     """The (p, canonical set) pairs of a prime-keyed mapping, by prime;
     each key must be a prime and the prime of its set."""
     for p, s in sorted(dict(sets or {}).items()):
         check_prime_arg(p)
         if s.p != p:
             raise PreconditionError(f"set at key {p} lives at prime {s.p}")
-        yield p, canonicalize(s, config)
+        yield p, canonicalize(s)
 
 
 def _set_at(pairs: tuple[tuple[int, PAdicSet], ...], rule: DefaultRule,
@@ -282,7 +282,7 @@ class RingSpec:
                  config: Config = DEFAULT_CONFIG):
         default = normalize_rule(default, config)
         items = []
-        for p, s in _sets_by_prime(exceptional, config):
+        for p, s in _sets_by_prime(exceptional):
             if not is_closed(s):
                 raise PreconditionError(
                     f"exceptional set at {p} is not closed")
@@ -326,8 +326,7 @@ def ring_contains(r1: RingSpec, r2: RingSpec,
     of their local sets at every prime."""
     window = sorted(set(r1.window()) | set(r2.window()))
     for p in window:
-        if not is_subset(r1.local_set(p, config), r2.local_set(p, config),
-                         config):
+        if not is_subset(r1.local_set(p, config), r2.local_set(p, config)):
             return TriState.no(f"local set at {p} not contained")
     if not rule_subset(r1.default, r2.default, config):
         return TriState.no("default rule not contained")
@@ -361,7 +360,7 @@ def ring_member(f: RatPoly, r: RingSpec,
     every prime of its denominator."""
     if f.denominator == 1:
         return True
-    return all(is_integer_valued(f, r.local_set(p, config), config)
+    return all(is_integer_valued(f, r.local_set(p, config))
                for p in prime_divisors(f.denominator, config))
 
 
@@ -387,7 +386,7 @@ class Representation:
     def __init__(self, unitary=None, default: DefaultRule = FULL_RULE,
                  nonunitary=(), all_min: bool = False,
                  config: Config = DEFAULT_CONFIG):
-        items = tuple(_sets_by_prime(unitary, config))
+        items = tuple(_sets_by_prime(unitary))
         polys = {}
         for q in nonunitary:
             if not isinstance(q, IrreduciblePoly):
@@ -552,7 +551,7 @@ def representation_equals(rep: Representation, r: RingSpec,
     for p in window:
         e_p = closure(rep.unitary_at(p, config))
         closures[p] = e_p
-        if not is_subset(e_p, r.local_set(p, config), config):
+        if not is_subset(e_p, r.local_set(p, config)):
             raise PreconditionError(
                 f"pinned values at {p} leave the ring's local set")
     if not rule_subset(rep.default, r.default, config):
@@ -560,7 +559,7 @@ def representation_equals(rep: Representation, r: RingSpec,
             "default pinned values leave the ring's local sets")
 
     for p in window:
-        if not is_subset(r.local_set(p, config), closures[p], config):
+        if not is_subset(r.local_set(p, config), closures[p]):
             return TriState.no(f"pinned values not dense at {p}")
     if not rule_subset(r.default, rep.default, config):
         return TriState.no("pinned values not dense at almost all primes")
@@ -602,7 +601,7 @@ def superfluous_unitary(rep: Representation, p: int, alpha: Rat,
     ring?  Exactly when alpha is not isolated among the pinned values."""
     check_prime_arg(p)
     alpha = Fraction(alpha)
-    e_p = canonicalize(rep.unitary_at(p, config), config)
+    e_p = canonicalize(rep.unitary_at(p, config))
     if not member(alpha, e_p):
         raise PreconditionError(f"{alpha} is not pinned at {p}")
     if any(b.contains(alpha) for b in e_p.balls):
@@ -714,7 +713,7 @@ class MinimalExtensions:
 
 def _drop_point(r: RingSpec, p: int, alpha: Fraction,
                 config: Config) -> RingSpec:
-    removed = remove_isolated_point(r.local_set(p, config), alpha, config)
+    removed = remove_isolated_point(r.local_set(p, config), alpha)
     parts = dict(r.exceptional)
     parts[p] = removed
     return RingSpec(parts, r.default, config)
@@ -729,7 +728,7 @@ def minimal_extensions(r: RingSpec, p: int,
     a closed set, hence the smallest possible strict ring extension.
     """
     z_p = r.local_set(p, config)
-    iso = isolated_points(z_p, config)
+    iso = isolated_points(z_p)
     explicit = tuple((x, _drop_point(r, p, x, config)) for x in iso.explicit)
     families = tuple(MinimalExtensionFamily(r, p, t.seq, t.from_n)
                      for t in iso.tails)
@@ -749,8 +748,8 @@ def has_irredundant_representation(r: RingSpec,
         z_p = r.local_set(p, config)
         if z_p.is_empty():
             continue
-        iso = isolated_points(z_p, config)
-        if not is_subset(z_p, iso.closure_set(), config):
+        iso = isolated_points(z_p)
+        if not is_subset(z_p, iso.closure_set()):
             return TriState.no(f"isolated points are not dense at {p}")
     kind = r.default.kind
     if _tail_residues(r.default, config) is None:
@@ -892,7 +891,7 @@ def _crt_integer_set(r: RingSpec, config: Config) -> IntegerSet:
         if modulus > config.residue_cap:
             raise ResourceLimitError(
                 f"residue enumeration at {p}", modulus, config.residue_cap)
-        balls = [Congruence(b.center, p ** b.depth) for b in s.balls]
+        held = {c for b in s.balls for c in range(b.center, modulus, p ** b.depth)}
         excluded.extend(Congruence(c, modulus) for c in range(modulus)
-                        if not covers(c, modulus, balls, config))
+                        if c not in held)
     return IntegerSet(excluded=tuple(excluded))

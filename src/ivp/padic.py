@@ -12,6 +12,9 @@ canonicalization, subset tests, isolated points, and removal of an
 isolated point.  Canonical forms are unique for sets presented in the
 algebra, so structural equality of canonical forms is set equality.
 
+The set algebra takes no ``Config``: Z_p is ultrametric, so balls are
+nested or disjoint, and no question here needs a capped search.
+
 This module holds the set algebra alone.  The tail rules that prescribe
 one such set at almost every prime live with the rings they describe, in
 ``overrings``.
@@ -24,10 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError
-from .exact import (Congruence, Rat, check_prime_arg, covers, power_exponent,
-                    rational_mod, vp)
+from .exact import Rat, check_prime_arg, power_exponent, rational_mod, vp
 
 
 def _p_integral(x: Rat, p: int) -> bool:
@@ -59,8 +60,7 @@ class Ball:
                 and d.numerator % self.p ** self.depth == 0)
 
     def contains_ball(self, other: "Ball") -> bool:
-        """Is the ball `other` inside this one?  Public API: nothing in the
-        library calls it."""
+        """Is the ball `other` inside this one?"""
         return (self.depth <= other.depth
                 and (other.center - self.center) % (self.p ** self.depth) == 0)
 
@@ -237,7 +237,9 @@ def closure(s: PAdicSet) -> PAdicSet:
 
 
 def is_closed(s: PAdicSet) -> bool:
-    return canonicalize(s) == closure(s)
+    """Canonicalization includes a limit exactly when it lies in the set,
+    so the set is closed iff every canonical sequence includes its own."""
+    return all(q.include_limit for q in canonicalize(s).seqs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +299,9 @@ def _last_index_in_balls(seq: SeqWithLimit, balls: Sequence[Ball]) -> int:
     return bound
 
 
-def canonicalize(s: PAdicSet, config: Config = DEFAULT_CONFIG) -> PAdicSet:
+def canonicalize(s: PAdicSet) -> PAdicSet:
     """Normal form: a function of the set alone, so structural equality of
-    canonical forms is set equality.
+    canonical forms is set equality.  It takes no ``Config``.
 
     Balls take their unique maximal disjoint decomposition.  A sequence
     whose limit falls in a ball dissolves into the points before its tail
@@ -350,13 +352,7 @@ def sets_equal(a: PAdicSet, b: PAdicSet) -> bool:
 # subset, density
 # ---------------------------------------------------------------------------
 
-def _ball_covered(b: Ball, cover: Sequence[Ball], config: Config) -> bool:
-    """Is the ball contained in the union of `cover`?  Exact."""
-    return covers(b.center, b.p ** b.depth,
-                  [Congruence(c.center, c.p ** c.depth) for c in cover], config)
-
-
-def _seq_subset(q: SeqWithLimit, b: PAdicSet, config: Config) -> bool:
+def _seq_subset(q: SeqWithLimit, b: PAdicSet) -> bool:
     """Is every element (and included limit) of q contained in set b?
 
     The tail is handled symbolically: beyond an explicit index bound the
@@ -386,23 +382,32 @@ def _seq_subset(q: SeqWithLimit, b: PAdicSet, config: Config) -> bool:
                for n in range(q.start, uniform_from - q.valuation))
 
 
-def is_subset(a: PAdicSet, b: PAdicSet, config: Config = DEFAULT_CONFIG) -> bool:
-    """Decide containment of closed sets exactly."""
+def is_subset(a: PAdicSet, b: PAdicSet) -> bool:
+    """Decide containment of closed sets exactly, with no ``Config``.
+
+    Canonical balls are disjoint and maximal, so a ball of a lies in b iff
+    one canonical ball of b holds it: a cover by several would hold a
+    complete sibling family, which canonicalization merges.
+    """
     if a.p != b.p:
         raise PreconditionError("sets live at different primes")
-    a, b = canonicalize(a, config), canonicalize(b, config)
+    a, b = canonicalize(a), canonicalize(b)
+    levels: dict[int, dict[int, Ball]] = {}       # depth -> center -> ball
+    for c in b.balls:
+        levels.setdefault(c.depth, {})[c.center] = c
     for ball in a.balls:
-        if not _ball_covered(ball, b.balls, config):
+        held = (bucket.get(ball.center % b.p ** d) for d, bucket in levels.items())
+        if not any(h is not None and h.contains_ball(ball) for h in held):
             return False
     for x in a.points:
         if not member(x, b):
             return False
-    return all(_seq_subset(q, b, config) for q in a.seqs)
+    return all(_seq_subset(q, b) for q in a.seqs)
 
 
-def is_dense_in(e: PAdicSet, f: PAdicSet, config: Config = DEFAULT_CONFIG) -> bool:
+def is_dense_in(e: PAdicSet, f: PAdicSet) -> bool:
     """Does the closure of e cover f?"""
-    return is_subset(f, closure(e), config)
+    return is_subset(f, closure(e))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +438,7 @@ class IsolatedPoints:
         return canonicalize(PAdicSet(self.parent.p, (), self.explicit, seqs))
 
 
-def isolated_points(s: PAdicSet, config: Config = DEFAULT_CONFIG) -> IsolatedPoints:
+def isolated_points(s: PAdicSet) -> IsolatedPoints:
     """Isolated points of a closed set.
 
     Balls contribute none.  Canonical finite points are always isolated.
@@ -442,8 +447,8 @@ def isolated_points(s: PAdicSet, config: Config = DEFAULT_CONFIG) -> IsolatedPoi
     sequence reports finitely many explicit elements plus one whole tail.
     Limits of sequences are never isolated.
     """
-    s = canonicalize(s, config)
-    if closure(s) != s:
+    s = canonicalize(s)
+    if not is_closed(s):
         raise PreconditionError("isolated_points expects a closed set")
     explicit = list(s.points)
     tails = []
@@ -477,11 +482,10 @@ def isolated_points(s: PAdicSet, config: Config = DEFAULT_CONFIG) -> IsolatedPoi
     return IsolatedPoints(s, tuple(sorted(uniq)), tuple(tails))
 
 
-def remove_isolated_point(s: PAdicSet, alpha: Rat,
-                          config: Config = DEFAULT_CONFIG) -> PAdicSet:
+def remove_isolated_point(s: PAdicSet, alpha: Rat) -> PAdicSet:
     """The closed set minus one isolated point (stays in the algebra)."""
     alpha = Fraction(alpha)
-    s = canonicalize(s, config)
+    s = canonicalize(s)
     if not member(alpha, s):
         raise PreconditionError(f"{alpha} is not in the set")
     if _in_ball_union(alpha, s.balls):
@@ -502,7 +506,7 @@ def remove_isolated_point(s: PAdicSet, alpha: Rat,
         new_points.extend(q.element(i) for i in range(q.start, n))
         new_seqs.append(SeqWithLimit._ray(q.p, q.limit, q.unit,
                                           q.valuation + n + 1, q.include_limit))
-    return canonicalize(PAdicSet(s.p, s.balls, new_points, new_seqs), config)
+    return canonicalize(PAdicSet(s.p, s.balls, new_points, new_seqs))
 
 
 # ---------------------------------------------------------------------------

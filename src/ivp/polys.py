@@ -600,7 +600,7 @@ def roots_in_set(q: IrreduciblePoly, s: PAdicSet,
     certifies each root.  The returned list is complete.
     """
     p = s.p
-    s = canonicalize(s, config)
+    s = canonicalize(s)
     if q.degree == 1:
         root = q.rational_root()
         if vp(root, p) < 0 or not member(root, s):
@@ -632,7 +632,7 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
     supremum is finite, attained, and returned with an attaining element.
     """
     p = s.p
-    s = canonicalize(s, config)
+    s = canonicalize(s)
     if s.is_empty():
         raise PreconditionError("maximum valuation over the empty set")
     best: Optional[int] = None

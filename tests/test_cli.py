@@ -16,6 +16,7 @@ import pytest
 import ivp
 from ivp import adelic, overrings, padic
 from ivp.cli import main
+from ivp.config import Config
 from ivp.dsl import parse_poly, parse_set
 from ivp.exact import vp
 from ivp.padic import closure, member
@@ -400,6 +401,15 @@ def test_over_long_integer_field_is_one_error_line(capsys):
         assert "more than 4300 digits" in err and ones[:100] not in err
 
 
+def test_malformed_ring_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"exceptional": \n')
+    code, out, err = run(capsys, "ring-contains", "--r1", f"@{path}",
+                         "--r2", "{}")
+    assert code == 1 and out == ""
+    assert err == "error: bad JSON: Expecting value: line 2 column 1 (char 17)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("localize", "--ring", "{}", "--p"),
     ("min-ext", "--ring", "{}", "--p"),
@@ -476,6 +486,33 @@ def test_no_unused_imports_in_the_library():
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
                 used |= set(ast.literal_eval(node.value))
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_every_config_parameter_is_read():
+    # a function that takes config reads one of its caps or hands it on,
+    # and every Config field is read as config.<field> outside config.py
+    def is_config(node):
+        return isinstance(node, ast.Name) and node.id == "config"
+
+    unread, fields_read = [], set()
+    for path in Path(ivp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and is_config(node.value)
+                    and path.name != "config.py"):
+                fields_read.add(node.attr)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if not any(a.arg == "config" for a in params):
+                continue
+            if not any((isinstance(n, ast.Attribute) and is_config(n.value))
+                       or (isinstance(n, ast.Call) and any(
+                           is_config(a) for a in
+                           n.args + [k.value for k in n.keywords]))
+                       for n in ast.walk(node)):
+                unread.append(f"{path.name}:{node.name}")
+    assert not unread
+    assert set(Config.__dataclass_fields__) <= fields_read
 
 
 def test_cli_imports_only_the_standard_library():

@@ -27,7 +27,7 @@ from ivp.dsl import (
     parse_rule,
     parse_set,
 )
-from ivp.config import DEFAULT_CONFIG
+from ivp.config import Config
 from ivp.errors import PreconditionError
 from ivp.exact import Congruence
 from ivp.overrings import (
@@ -163,6 +163,16 @@ def test_over_long_number_in_a_ring_file_names_the_limit(tmp_path):
                                " digits, the limit on reading integers")
 
 
+def test_malformed_ring_file_is_bad_json(tmp_path):
+    # read from a file, malformed JSON is named as inline text is
+    path = tmp_path / "bad.json"
+    path.write_text('{"exceptional": \n')
+    with pytest.raises(ParseError) as info:
+        parse_ring(f"@{path}")
+    assert str(info.value) == ("bad JSON: Expecting value: line 2 column 1"
+                               " (char 17)")
+
+
 def test_integer_fields_at_the_digit_limit_are_read():
     limit = sys.get_int_max_str_digits()
     n = int("7" * limit)
@@ -201,7 +211,7 @@ def test_parse_poly_degree_cap_comes_from_the_config():
     assert parse_poly("(X^8)^8").degree == 64
     with pytest.raises(ParseError, match="exceeds cap 64"):
         parse_poly("X^65")
-    tight = DEFAULT_CONFIG.with_overrides(degree_cap=4)
+    tight = Config(degree_cap=4)
     assert parse_poly("(X^2 + 1)^2", tight).degree == 4
     with pytest.raises(ParseError, match="exceeds cap 4"):
         parse_poly("(X^2 + 1)*(X^3 + 1)", tight)

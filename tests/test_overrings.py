@@ -16,7 +16,7 @@ from oracles import (brute_rule_subset, is_all_integers, primes_below,
                      probe_elements, seq_integer_indices)
 
 from ivp.adelic import IntegerSet, closure_in_zp
-from ivp.config import DEFAULT_CONFIG
+from ivp.config import DEFAULT_CONFIG, Config
 from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import Congruence, vp
 from ivp.membership import is_integer_valued
@@ -698,7 +698,7 @@ def test_seq_integer_test_is_capped():
     seq = SeqWithLimit(2, 0, Fraction(1, 1000003))
     assert not _seq_meets_integers(seq, DEFAULT_CONFIG)
     with pytest.raises(ResourceLimitError, match=r"seq\(2; 0, 1/1000003"):
-        _seq_meets_integers(seq, DEFAULT_CONFIG.with_overrides(residue_cap=1000))
+        _seq_meets_integers(seq, Config(residue_cap=1000))
 
 
 # ---------------------------------------------------------------------------

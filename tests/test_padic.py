@@ -14,7 +14,6 @@ from conftest import PRIMES, p_integral, padic_sets, primes, seqs
 from oracles import (brute_in_closure, brute_member, meets_ball, probe_elements,
                      set_residues)
 
-from ivp.config import Config
 from ivp.errors import PreconditionError
 from ivp.overrings import (
     EMPTY_RULE,
@@ -82,6 +81,12 @@ def test_closure_is_idempotent_and_closed(s):
     assert sets_equal(closure(c), c)
 
 
+@settings(max_examples=150)
+@given(padic_sets())
+def test_is_closed_matches_canonical_closure(s):
+    assert is_closed(s) == (canonicalize(s) == closure(s))
+
+
 @settings(max_examples=100)
 @given(padic_sets())
 def test_canonicalize_preserves_membership(s):
@@ -100,6 +105,33 @@ def test_canonicalize_is_idempotent(s):
 # ---------------------------------------------------------------------------
 # subset order
 # ---------------------------------------------------------------------------
+
+@st.composite
+def ball_unions(draw, p):
+    """Ball-only sets, rarely canonical: loose balls, nested ones, and
+    complete or one-short families of the p or p^2 balls under a parent."""
+    out = draw(st.lists(st.builds(lambda c, k: Ball(p, c, k),
+                                  st.integers(0, p ** 4), st.integers(0, 4)),
+                        max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        c, k = draw(st.integers(0, p ** 3)), draw(st.integers(0, 3))
+        g = draw(st.integers(1, 2))
+        family = [Ball(p, c + j * p ** k, k + g) for j in range(p ** g)]
+        if draw(st.booleans()):
+            family.pop(draw(st.integers(0, len(family) - 1)))
+        out.extend(family)
+    return PAdicSet(p, balls=draw(st.permutations(out)))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_ball_subset_matches_residues(data):
+    # past the deepest depth every ball is a union of residue classes
+    p = data.draw(primes)
+    a, b = data.draw(ball_unions(p)), data.draw(ball_unions(p))
+    m = max((x.depth for x in a.balls + b.balls), default=0) + 1
+    assert is_subset(a, b) == (set_residues(a, m) <= set_residues(b, m))
+
 
 @settings(max_examples=80)
 @given(padic_sets())
@@ -155,12 +187,11 @@ def test_subset_checks_the_elements_before_a_ball_holds_the_tail(start):
 
 
 def test_ball_cover_needs_no_residue_scan():
-    # the balls of valuation 0..11 leave out 2^12 Z_2; the shares of the
-    # cover sum to 1 - 2^-12, which settles it without the 4096 residues
-    cover = PAdicSet(2, [Ball(2, 2 ** j, j + 1) for j in range(12)])
-    assert not is_subset(full_set(2), cover, Config(residue_cap=1000))
-    assert is_subset(full_set(2), PAdicSet(2, cover.balls + (Ball(2, 0, 12),)),
-                     Config(residue_cap=1000))
+    # the balls of valuation 0..59 leave out 2^60 Z_2, a cover with 2^60
+    # residues; nesting in the canonical balls decides it without them
+    cover = PAdicSet(2, [Ball(2, 2 ** j, j + 1) for j in range(60)])
+    assert not is_subset(full_set(2), cover)
+    assert is_subset(full_set(2), PAdicSet(2, cover.balls + (Ball(2, 0, 60),)))
 
 
 def test_cross_prime_comparison_rejected():
