@@ -84,7 +84,6 @@ from .polys import (
     RootKind,
     max_valuation,
     max_valuation_witness,
-    resultant,
     roots_in_set,
 )
 

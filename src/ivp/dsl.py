@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ast
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -30,7 +29,7 @@ from fractions import Fraction
 from .adelic import AdelicCandidate, IntegerSet
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError
-from .exact import Congruence
+from .exact import Congruence, check_printable
 from .overrings import (DefaultRule, Representation, RingSpec, instantiate,
                         EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE,
                         integer_set_rule, single_power_rule)
@@ -88,18 +87,6 @@ def _args(body: str) -> list[str]:
     return [a for a in parts if a]
 
 
-def _check_printable(factor: Fraction, p: int, exponent: int, what: str) -> None:
-    """Reject factor * p^exponent, before forming it, when its numerator
-    would pass the interpreter's limit on printing integers: a set built
-    from it could be computed but never written out."""
-    limit = sys.get_int_max_str_digits()
-    digits = (math.log10(abs(factor.numerator))
-              + max(exponent, 0) * math.log10(p))
-    if limit and digits > limit:
-        raise ParseError(f"{what} has about {digits:.0f} digits, over the "
-                         f"{limit}-digit limit on printing integers")
-
-
 def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
     balls, points, seqs = [], [], []
     prime = None
@@ -120,7 +107,7 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
             if len(rest) != 2:
                 raise ParseError("ball takes (p; center, depth)")
             depth = parse_int(rest[1], "ball depth")
-            _check_printable(Fraction(1), p, depth, f"ball modulus {p}^{depth}")
+            check_printable(1, p, depth, f"ball modulus {p}^{depth}", ParseError)
             balls.append(Ball(p, parse_rational(rest[0], "ball center"),
                               depth))
         elif name == "pts":
@@ -133,8 +120,9 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
                                parse_rational(rest[1], "sequence scale"),
                                parse_int(rest[2], "sequence start"),
                                rest[3] == "+lim")
-            _check_printable(seq.scale, p, seq.start,
-                             f"sequence scale {seq.scale}*{p}^{seq.start}")
+            check_printable(seq.scale, p, seq.start,
+                            f"sequence scale {seq.scale}*{p}^{seq.start}",
+                            ParseError)
             seqs.append(seq)
         elif name in _PLAIN_RULES:
             if rest:
@@ -147,7 +135,6 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
             if len(rest) != 1:
                 raise ParseError("power takes (p; exponent)")
             exponent = parse_int(rest[0], "power exponent")
-            _check_printable(Fraction(1), p, exponent, f"{p}^{exponent}")
             points.extend(instantiate(single_power_rule(exponent), p,
                                       config).points)
         else:

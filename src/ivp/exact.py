@@ -9,6 +9,7 @@ single INFINITY sentinel used for the valuation of zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -123,6 +124,19 @@ def power_exponent(n: int, p: int) -> Optional[int]:
         power *= p
         k += 1
     return k if power == n else None
+
+
+def check_printable(factor: Rat, p: int, exponent: int, what: str,
+                    error: type = PreconditionError) -> None:
+    """Reject factor * p^exponent, before forming it, when its numerator
+    would pass the interpreter's limit on printing integers: a set built
+    from it could be computed but never written out."""
+    limit = sys.get_int_max_str_digits()
+    digits = (math.log10(abs(Fraction(factor).numerator))
+              + max(exponent, 0) * math.log10(p))
+    if limit and digits > limit:
+        raise error(f"{what} has about {digits:.0f} digits, over the "
+                    f"{limit}-digit limit on printing integers")
 
 
 def rational_mod(x: Rat, modulus: int) -> int:

@@ -28,8 +28,8 @@ from typing import Optional
 from .adelic import IntegerSet, closure_in_zp
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
-from .exact import (Congruence, Rat, check_prime_arg, is_finite, is_prime,
-                    iter_primes, prime_divisors)
+from .exact import (Congruence, Rat, check_prime_arg, check_printable,
+                    is_finite, is_prime, iter_primes, prime_divisors)
 from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
 from .padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
                     empty_set, full_set, is_closed, is_subset,
@@ -161,6 +161,8 @@ def instantiate(rule: DefaultRule, p: int,
     if rule.kind is RuleKind.EMPTY:
         return empty_set(p)
     if rule.kind is RuleKind.SINGLE_POWER:
+        # a rule is formed at each prime, so p^k is checked where it is built
+        check_printable(1, p, rule.exponent, f"{p}^{rule.exponent}")
         return PAdicSet(p, points=[Fraction(p) ** rule.exponent])
     if rule.kind is RuleKind.UNITS_AND_SELF:
         # p itself plus every unit: {p} with the p-1 unit cosets mod p
@@ -657,8 +659,12 @@ def _in_minimal_family(spec: RingSpec, q: IrreduciblePoly,
 
 
 def _perfect_power(n: int, e: int) -> Optional[int]:
-    """The prime b with n = b^e, if there is one."""
-    lo, hi = 2, n
+    """The prime b with n = b^e, if there is one.  Such a b is at least 2
+    and below 2^(bitlen(n)/e + 1), so the bisection never powers past n's
+    size and there is none when e exceeds bitlen(n)."""
+    if n < 2 or e > n.bit_length():
+        return None
+    lo, hi = 2, 1 << (n.bit_length() // e + 1)
     while lo <= hi:
         mid = (lo + hi) // 2
         power = mid ** e

@@ -448,7 +448,7 @@ def isolated_points(s: PAdicSet) -> IsolatedPoints:
     Limits of sequences are never isolated.
     """
     s = canonicalize(s)
-    if not is_closed(s):
+    if not all(q.include_limit for q in s.seqs):    # is_closed, on canonical s
         raise PreconditionError("isolated_points expects a closed set")
     explicit = list(s.points)
     tails = []

@@ -10,7 +10,9 @@ class r mod p^m has as children only the roots mod p of q(r + p^m*Y),
 divided by the p-power of its content; they are found by a gcd with
 Y^p - Y and equal-degree splitting over F_p (Berthomieu, Lecerf and
 Quintin, AAECC 24, 2013), so a level costs O(deg q) classes and O(log p)
-polynomial products, not p evaluations.
+polynomial products, not p evaluations.  The tree needs q squarefree,
+which a prime modulo which q and q' are coprime certifies; no resultant
+is computed.
 """
 
 from __future__ import annotations
@@ -156,52 +158,6 @@ class RatPoly:
                              else (f"X^{i}" if c > 0 else f"-X^{i}"))
         body = " + ".join(terms).replace("+ -", "- ")
         return body if self.denominator == 1 else f"({body})/{self.denominator}"
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    # dense division over Q; b != 0
-    r = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        coef = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            r[shift + i] -= coef * bc
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def resultant(f: RatPoly, g: RatPoly) -> Fraction:
-    """Res(f, g) by the Euclidean formula, exact over Q."""
-    a = f.fraction_coeffs()
-    b = g.fraction_coeffs()
-    sign = 1
-    acc = Fraction(1)
-    while True:
-        while a and a[-1] == 0:
-            a.pop()
-        while b and b[-1] == 0:
-            b.pop()
-        if not a or not b:
-            return Fraction(0)
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return sign * acc * b[0] ** da
-        _, r = _poly_divmod(a, b)
-        if not r:
-            return Fraction(0)
-        dr = len(r) - 1
-        acc *= b[-1] ** (da - dr)
-        if (da % 2) and (db % 2):
-            sign = -sign
-        a, b = b, r
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +391,10 @@ class IrreduciblePoly:
     @classmethod
     def assert_irreducible(cls, poly: RatPoly,
                            config: Config = DEFAULT_CONFIG) -> "IrreduciblePoly":
-        """Trust the caller; squarefreeness is still verified."""
+        """Trust the caller on irreducibility; squarefreeness is still
+        verified, modulo the prime that squarefree_prime finds."""
         q = cls(_primitive_part(poly, config), CertificateKind.CALLER_ASSERTED)
-        if q.squarefree_resultant == 0:
+        if q.squarefree_prime is None:
             raise PreconditionError(f"{poly} is not squarefree")
         return q
 
@@ -445,10 +402,37 @@ class IrreduciblePoly:
         return RatPoly(self.coeffs)
 
     @cached_property
-    def squarefree_resultant(self) -> Fraction:
-        """Res(q, q'): nonzero iff q is squarefree."""
-        qq = self.as_ratpoly()
-        return resultant(qq, qq.derivative())
+    def squarefree_prime(self) -> Optional[int]:
+        """The least prime ell not dividing the leading coefficient modulo
+        which q and q' are coprime; None when q is not squarefree.
+
+        Such an ell proves Res(q, q') != 0.  Each prime ell not dividing
+        the leading coefficient modulo which q and q' share a factor
+        divides Res(q, q'), also when q' loses degree mod ell; so once the
+        product of those primes passes Hadamard's bound on |Res(q, q')|,
+        the resultant is 0 (von zur Gathen and Gerhard, Modern Computer
+        Algebra, ch. 6).
+        """
+        failed = 1
+        for ell in iter_primes():
+            if self.coeffs[-1] % ell == 0:
+                continue
+            if len(_mod_poly_gcd(self.coeffs, self.derivative_coeffs, ell)) == 1:
+                return ell
+            failed *= ell
+            if failed >> self._hadamard_bits:
+                return None
+        raise InvariantError("the primes ran out")
+
+    @cached_property
+    def _hadamard_bits(self) -> int:
+        """An h with |Res(q, q')| < 2^h: Hadamard's bound reads
+        |Res|^2 <= |q|_2^(2(d-1)) * |q'|_2^(2d), and each squared norm is
+        below 2 to the power of its bit length."""
+        d = self.degree
+        norm = sum(c * c for c in self.coeffs).bit_length()
+        dnorm = sum(c * c for c in self.derivative_coeffs).bit_length()
+        return ((d - 1) * norm + d * dnorm + 1) // 2
 
     @property
     def degree(self) -> int:
@@ -547,14 +531,15 @@ def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
     supremum and are not reported, and when g has no root the class
     itself is dead with t = v.  Each level costs O(deg q) classes and
     O(log p) polynomial products mod p, whatever the size of p.
-    Termination relies on q squarefree: vp(resultant(q, q')) caps the
-    depth, and no r is a root of both q and q'.
+    Termination relies on q squarefree: no r is a root of both q and q',
+    and the depth stays below 2*vp(Res(q, q'), p) + 8 past the ball's.
+    The cap bounds that valuation by B = h / (bitlen(p) - 1) >= log_p of
+    2^h, with h from Hadamard's bound, so no resultant is computed.
     """
     p = ball.p
-    if q.squarefree_resultant == 0:
+    if q.squarefree_prime is None:
         raise PreconditionError(f"{q} is not squarefree")
-    rv = vp(q.squarefree_resultant, p)
-    depth_cap = ball.depth + 2 * rv + 8
+    depth_cap = ball.depth + 2 * (q._hadamard_bits // (p.bit_length() - 1)) + 8
     dq = q.derivative_coeffs
     stack = [(ball.center, ball.depth)]
     visited = 0

@@ -17,6 +17,7 @@ from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import rational_mod, vp
 from ivp.overrings import instantiate
 from ivp.padic import Ball, PAdicSet, SeqWithLimit, is_subset
+from ivp.polys import RatPoly
 
 
 def brute_int_vp(n: int, p: int) -> int:
@@ -176,7 +177,8 @@ def brute_tree_events(q, ball: Ball, config):
     p children of an undecided class walked in turn; yields the same
     (r, m, t, s) events, where a dead class always has t = vp(q(r)) < m."""
     p = ball.p
-    depth_cap = ball.depth + 2 * vp(q.squarefree_resultant, p) + 8
+    qq = RatPoly(q.coeffs)
+    depth_cap = ball.depth + 2 * vp(resultant(qq, qq.derivative()), p) + 8
     stack = [(ball.center, ball.depth)]
     visited = 0
     while stack:
@@ -469,6 +471,52 @@ def brute_product_closure_member(e, x) -> bool:
                 kept(n) for n in range(r, math.lcm(L, m), m)):
             return False
     return True
+
+
+def _poly_divmod(a: list[Fraction], b: list[Fraction]):
+    # dense division over Q; b != 0
+    r = a[:]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(r) >= len(b) and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(b):
+            break
+        coef = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = coef
+        for i, bc in enumerate(b):
+            r[shift + i] -= coef * bc
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def resultant(f: RatPoly, g: RatPoly) -> Fraction:
+    """Res(f, g) by the Euclidean formula, exact over Q."""
+    a = f.fraction_coeffs()
+    b = g.fraction_coeffs()
+    sign = 1
+    acc = Fraction(1)
+    while True:
+        while a and a[-1] == 0:
+            a.pop()
+        while b and b[-1] == 0:
+            b.pop()
+        if not a or not b:
+            return Fraction(0)
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            return sign * acc * b[0] ** da
+        _, r = _poly_divmod(a, b)
+        if not r:
+            return Fraction(0)
+        dr = len(r) - 1
+        acc *= b[-1] ** (da - dr)
+        if (da % 2) and (db % 2):
+            sign = -sign
+        a, b = b, r
 
 
 def sylvester_resultant(f, g) -> Fraction:

@@ -306,6 +306,20 @@ def test_deep_balls_are_refused_as_read(capsys, argv):
     assert "4300-digit limit" in err
 
 
+@pytest.mark.parametrize("argv, power", [
+    (("localize", "--ring", '{"default": "power(10000)"}', "--p", "3"),
+     "3^10000"),
+    (("superfluous", "--rep", '{"default": "power(3000000)", "all_min": true}',
+      "--poly", "X - 12345"), "3^3000000"),
+])
+def test_power_tail_rules_are_refused_before_p_to_the_k_is_formed(
+        capsys, argv, power):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {power} has about ") and err.count("\n") == 1
+    assert "4300-digit limit" in err
+
+
 def test_extra_arguments_of_a_tail_rule_component_exit_1(capsys):
     for name, extra in (("full", "3"), ("empty", "1"), ("units+p", "2")):
         code, out, err = run(capsys, "closure", "--set", f"{name}(5; {extra})")
@@ -529,6 +543,32 @@ def test_cli_imports_only_the_standard_library():
     assert not foreign
 
 
+def test_public_api_is_unchanged():
+    assert sorted(ivp.__all__) == [
+        "AdelicCandidate", "Ball", "Config", "Congruence", "DEFAULT_CONFIG",
+        "Decision", "DefaultRule", "EMPTY_RULE", "FULL_RULE", "INFINITY",
+        "IntegerSet", "IrreduciblePoly", "IvpError", "MinimalExtensions",
+        "PAdicSet", "PreconditionError", "RatPoly", "Representation",
+        "ResourceLimitError", "RingSpec", "RootCertificate", "RootKind",
+        "RuleKind", "SeqWithLimit", "TriState", "UNITS_AND_SELF_RULE",
+        "WitnessRationalFunction", "adelic", "adelic_closure_member",
+        "canonicalize", "closure", "closure_in_zp", "closures_differ",
+        "config", "crt_solve", "empty_set", "errors", "exact", "full_set",
+        "globalize", "has_irredundant_representation", "instantiate",
+        "integer_set_rule", "is_closed", "is_dense_in", "is_integer_valued",
+        "is_prime", "is_simple_integer_set_ring", "is_subset",
+        "isolated_points", "load_config_file", "localize", "max_valuation",
+        "max_valuation_witness", "member", "membership",
+        "minimal_extensions", "nonunitary_contains", "normalize_rule",
+        "overrings", "padic", "point_set", "polys", "product_closure_member",
+        "remove_isolated_point", "representation_equals", "ring_contains",
+        "ring_equal", "ring_member", "ring_of", "roots_in_set", "rule_subset",
+        "separating_polynomial", "sets_equal", "single_power_rule",
+        "some_elements", "superfluous_nonunitary", "superfluous_unitary",
+        "unitary_contains", "vp", "witness_rational_function",
+    ]
+
+
 # every intra-package import names a module of a strictly lower layer
 LAYERS = ({"config", "errors"}, {"exact"}, {"padic"}, {"polys"},
           {"membership", "adelic"}, {"overrings"}, {"dsl"}, {"cli"})
@@ -562,7 +602,7 @@ def test_isolated_output(capsys):
     assert len(payload["tails"]) == 1 and payload["tails"][0]["from"] == 0
 
 
-def test_isolated_canonicalizes_twice(monkeypatch, capsys):
+def test_isolated_canonicalizes_once(monkeypatch, capsys):
     calls = []
     canonicalize = padic.canonicalize
 
@@ -572,7 +612,7 @@ def test_isolated_canonicalizes_twice(monkeypatch, capsys):
     monkeypatch.setattr(padic, "canonicalize", counted)
     code, out, _ = run(capsys, "isolated", "--set", "seq(2; 0, 1, 0, +lim)")
     assert code == 0 and out.startswith("explicit: (none)")
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_simple_scans_one_fraction_cycle_under_the_residue_cap(capsys):

@@ -50,7 +50,7 @@ from ivp.overrings import (
     superfluous_unitary,
     unitary_contains,
 )
-from ivp.overrings import _seq_meets_integers
+from ivp.overrings import _perfect_power, _seq_meets_integers
 from ivp.padic import (
     Ball,
     PAdicSet,
@@ -463,6 +463,16 @@ def test_linear_denominators_over_sparse_tails(data):
     assert verdict.is_yes == forced
     if verdict.is_no:
         assert verdict.payload is not None
+
+
+def test_perfect_power_matches_a_brute_force_search():
+    prime_powers = {(p ** e, e): p for p in primes_below(10 ** 4 + 1)
+                    for e in range(1, 21) if p ** e <= 10 ** 4}
+    for e in range(1, 21):
+        for n in range(-2, 10 ** 4 + 1):
+            assert _perfect_power(n, e) == prime_powers.get((n, e)), (n, e)
+    # an exponent past n's bit length answers at once
+    assert _perfect_power(12345, 3 * 10 ** 6) is None
 
 
 def test_nonunitary_contains_walks_each_root_tree_once(monkeypatch):

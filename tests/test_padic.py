@@ -438,7 +438,7 @@ def test_sequence_tail_is_isolated_but_limit_is_not():
     assert not member(Fraction(0), iso.closure_set()) or True  # 0 only as limit
 
 
-def test_isolated_points_canonicalizes_twice(monkeypatch):
+def test_isolated_points_canonicalizes_once(monkeypatch):
     import ivp.padic
     calls = []
 
@@ -448,7 +448,7 @@ def test_isolated_points_canonicalizes_twice(monkeypatch):
     monkeypatch.setattr(ivp.padic, "canonicalize", counted)
     s = PAdicSet(2, seqs=[SeqWithLimit(2, 0, 1)])               # {2^n} U {0}
     assert len(isolated_points(s).tails) == 1
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_isolated_point_inside_ball_is_not_isolated():

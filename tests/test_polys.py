@@ -1,7 +1,10 @@
-"""Polynomials: evaluation, resultants, certified roots, valuation sups.
+"""Polynomials: evaluation, squarefreeness certificates, certified roots,
+valuation sups.
 
 Root location is checked against full residue enumeration (root_residues)
-and the Newton re-validation built into the certificates.
+and the Newton re-validation built into the certificates.  The referee
+for squarefreeness and the root tree's depth bound is oracles.resultant,
+itself checked against the Sylvester determinant.
 """
 
 import math
@@ -21,6 +24,7 @@ from oracles import (
     probe_elements,
     rabin_irreducible,
     rational_roots,
+    resultant,
     root_residues,
     sylvester_resultant,
 )
@@ -28,7 +32,7 @@ from oracles import (
 import ivp.polys as polys
 from ivp.config import DEFAULT_CONFIG, Config
 from ivp.errors import PreconditionError
-from ivp.exact import INFINITY, is_finite, vp
+from ivp.exact import INFINITY, is_finite, is_prime, vp
 from ivp.padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
                        full_set, member, point_set)
 from ivp.polys import (
@@ -38,7 +42,6 @@ from ivp.polys import (
     RootKind,
     max_valuation,
     max_valuation_witness,
-    resultant,
     roots_in_set,
 )
 
@@ -437,11 +440,69 @@ def test_root_tree_matches_the_p_way_walk(case):
 def test_root_count_on_full_matches_residue_enumeration(p, q):
     # with R = vp(Res(q, q')), every solution mod p^(2R+1) lies within
     # p^-(R+1) of a root, and distinct roots differ mod p^(R+1)
-    rv = vp(q.squarefree_resultant, p)
+    qq = q.as_ratpoly()
+    rv = vp(resultant(qq, qq.derivative()), p)
     assume(p ** (2 * rv + 1) <= 20_000)
     sols = root_residues(q.coeffs, p, 2 * rv + 1)
     roots = {x % p ** (rv + 1) for x in sols}
     assert len(roots_in_set(q, full_set(p))) == len(roots)
+
+
+def _coefficients(degree):
+    return st.tuples(st.lists(st.integers(-9, 9), min_size=degree,
+                              max_size=degree),
+                     st.integers(-9, 9).filter(bool)).map(lambda t: t[0] + [t[1]])
+
+
+@st.composite
+def _squarefree_or_not(draw):
+    """Degree 1 to 8: g*h^2 with deg h >= 1, or a polynomial drawn whole,
+    which is mostly squarefree."""
+    if draw(st.booleans()):
+        h = P(*draw(_coefficients(draw(st.integers(1, 4)))))
+        g = P(*draw(_coefficients(draw(st.integers(0, 8 - 2 * h.degree)))))
+        return (g * h * h).coeffs
+    return tuple(draw(_coefficients(draw(st.integers(1, 8)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_squarefree_or_not())
+def test_squarefree_prime_is_the_least_prime_not_dividing_lc_res(coeffs):
+    q = IrreduciblePoly(coeffs, CertificateKind.CALLER_ASSERTED)
+    res = resultant(RatPoly(coeffs), RatPoly(coeffs).derivative())
+    ell = q.squarefree_prime
+    assert (ell is None) == (res == 0)
+    if ell is not None:
+        assert coeffs[-1] % ell and res % ell
+        assert all(coeffs[-1] % k == 0 or res % k == 0
+                   for k in primes_below(ell))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES), squarefree_polys())
+def test_depth_bound_covers_the_resultant_valuation(p, q):
+    qq = q.as_ratpoly()
+    res = resultant(qq, qq.derivative())
+    assert abs(res) < 2 ** q._hadamard_bits
+    assert q._hadamard_bits // (p.bit_length() - 1) >= vp(res, p)
+
+
+def _odd_product_minus_1(n):
+    """30*(X - 1)(X - 3)...(X - (2n - 1)) - 1."""
+    f = P(30)
+    for z in range(1, 2 * n, 2):
+        f = f * P(-z, 1)
+    return f - P(1)
+
+
+def test_squarefreeness_is_decided_at_degree_64():
+    q = IrreduciblePoly.assert_irreducible(_odd_product_minus_1(64))
+    assert q.degree == 64 and is_prime(q.squarefree_prime)
+    square = _odd_product_minus_1(62) * P(-1, 1) ** 2
+    assert square.degree == 64
+    for f in (square, P(1, 0, 1) ** 2):             # ... and (X^2 + 1)^2
+        with pytest.raises(PreconditionError, match="is not squarefree"):
+            IrreduciblePoly.assert_irreducible(f)
 
 
 def test_root_tree_cost_does_not_grow_with_p(monkeypatch):
@@ -541,21 +602,21 @@ def test_max_valuation_is_infinite_exactly_at_a_root_of_the_closure(s, coeffs):
         assert (value is INFINITY) == bool(roots_in_set(q, closure(s)))
 
 
-def test_squarefree_resultant_is_computed_once(monkeypatch):
-    import ivp.polys as polys
+def test_squarefree_certificate_is_computed_once(monkeypatch):
+    q = IrreduciblePoly((-2, 0, 0, 0, 1), CertificateKind.CALLER_ASSERTED)
     calls = []
+    gcd = polys._mod_poly_gcd
 
-    def counted(f, g):
-        calls.append(1)
-        return resultant(f, g)
-    monkeypatch.setattr(polys, "resultant", counted)
-    q = IrreduciblePoly.assert_irreducible(P(-2, 0, 0, 0, 1))   # X^4 - 2
+    def counted(a, b, ell):
+        if (tuple(a), tuple(b)) == (q.coeffs, q.derivative_coeffs):
+            calls.append(ell)
+        return gcd(a, b, ell)
+    monkeypatch.setattr(polys, "_mod_poly_gcd", counted)
     for p in (2, 3, 5, 7):
         roots_in_set(q, full_set(p))
         max_valuation(q, full_set(p))
-    assert len(calls) == 1
-    qq = q.as_ratpoly()
-    assert q.squarefree_resultant == resultant(qq, qq.derivative())
+    # X^4 - 2: q' = 4X^3 vanishes mod 2, and q is prime to X^3 mod 3
+    assert calls == [2, 3] and q.squarefree_prime == 3
 
 
 def test_max_valuation_alias():
