@@ -24,6 +24,12 @@ class Config:
     # bounded search size for separating polynomials
     search_degree_cap: int = 256
 
+    def __post_init__(self):
+        # a cap below 1 would make every enumeration a resource error
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, not {value}")
+
 
 DEFAULT_CONFIG = Config()
 
@@ -43,5 +49,9 @@ def load_config_file(path: str) -> Config:
             key = key.strip()
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = int(value.strip())
+            try:
+                values[key] = int(value.strip())
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} needs an integer: {exc}") from None
     return Config(**values)

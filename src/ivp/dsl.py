@@ -61,6 +61,8 @@ def _check_digits(text: str, what: str) -> None:
 def parse_int(text, what: str) -> int:
     """Read an integer field named `what`; a ring's JSON may give a prime
     as a number.  Over-long digits raise ParseError, naming the field."""
+    if isinstance(text, bool) or not isinstance(text, (int, str)):
+        raise ParseError(f"{what} must be an integer")
     _check_digits(str(text), what)
     return int(text)
 
@@ -357,46 +359,57 @@ def _json_int(digits: str) -> int:
     return parse_int(digits, "ring JSON number")
 
 
-def _load_json(text_or_obj):
+def _load_json(text_or_obj, what: str) -> dict:
     if isinstance(text_or_obj, dict):
         return text_or_obj
     text = text_or_obj.strip()
     try:
         if text.startswith("@"):
             with open(text[1:]) as fh:
-                return json.load(fh, parse_int=_json_int)
-        return json.loads(text, parse_int=_json_int)
+                obj = json.load(fh, parse_int=_json_int)
+        else:
+            obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} JSON must be an object")
+    return obj
 
 
-def _parse_prime_sets(entries, config: Config) -> dict[int, PAdicSet]:
+_JSON_TYPES = {str: "a string", list: "a list", bool: "true or false"}
+
+
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _parse_prime_sets(entries, what: str,
+                      config: Config) -> dict[int, PAdicSet]:
     """Accept either a mapping {"2": "full(2)"} or a list of
-    {"p": 2, "set": "full(2)"} entries (the list is what format_ring
+    {"p": 2, "set": "full(2)"} objects (the list is what format_ring
     emits, the mapping is the convenient hand-written form)."""
     if isinstance(entries, dict):
-        entries = [(parse_int(k, "ring prime"), v)
-                   for k, v in entries.items()]
-    out = {}
-    for entry in entries or []:
-        if isinstance(entry, dict):
-            p, body = parse_int(entry["p"], "ring prime"), entry["set"]
-        else:
-            p, body = parse_int(entry[0], "ring prime"), entry[1]
-        s = parse_set(body, config)
-        if s.p != p:
-            raise ParseError(f"set listed for {p} uses prime {s.p}")
-        out[p] = s
-    return out
+        entries = [{"p": k, "set": v} for k, v in entries.items()]
+    elif not (isinstance(entries, list) and all(
+            isinstance(e, dict) and e.keys() == {"p", "set"}
+            for e in entries)):
+        raise ParseError(f'{what} must be a mapping from primes to sets or'
+                         ' a list of {"p", "set"} objects')
+    return {parse_int(e["p"], "ring prime"):
+            parse_set(_typed(e["set"], str, f"{what} set"), config)
+            for e in entries}
 
 
 def parse_ring(text_or_obj, config: Config = DEFAULT_CONFIG) -> RingSpec:
-    obj = _load_json(text_or_obj)
+    obj = _load_json(text_or_obj, "ring")
     unknown = set(obj) - {"exceptional", "default"}
     if unknown:
         raise ParseError(f"unknown ring keys {sorted(unknown)}")
-    return RingSpec(_parse_prime_sets(obj.get("exceptional"), config),
-                    parse_rule(obj.get("default", "full")), config)
+    return RingSpec(
+        _parse_prime_sets(obj.get("exceptional", {}), "exceptional", config),
+        parse_rule(_typed(obj.get("default", "full"), str, "default")), config)
 
 
 def format_ring(r: RingSpec) -> dict:
@@ -409,16 +422,18 @@ def format_ring(r: RingSpec) -> dict:
 
 def parse_representation(text_or_obj,
                          config: Config = DEFAULT_CONFIG) -> Representation:
-    obj = _load_json(text_or_obj)
+    obj = _load_json(text_or_obj, "representation")
     unknown = set(obj) - {"unitary", "default", "nonunitary", "all_min"}
     if unknown:
         raise ParseError(f"unknown representation keys {sorted(unknown)}")
-    polys = [parse_irreducible(q, config) for q in obj.get("nonunitary", [])]
-    return Representation(_parse_prime_sets(obj.get("unitary"), config),
-                          parse_rule(obj.get("default", "full")),
-                          nonunitary=polys,
-                          all_min=bool(obj.get("all_min", False)),
-                          config=config)
+    polys = [parse_irreducible(_typed(q, str, "nonunitary polynomial"), config)
+             for q in _typed(obj.get("nonunitary", []), list, "nonunitary")]
+    return Representation(
+        _parse_prime_sets(obj.get("unitary", {}), "unitary", config),
+        parse_rule(_typed(obj.get("default", "full"), str, "default")),
+        nonunitary=polys,
+        all_min=_typed(obj.get("all_min", False), bool, "all_min"),
+        config=config)
 
 
 def format_representation(rep: Representation) -> dict:

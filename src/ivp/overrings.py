@@ -34,7 +34,7 @@ from .membership import is_integer_valued, witness_from_valuations, WitnessRatio
 from .padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
                     empty_set, full_set, is_closed, is_subset,
                     isolated_points, member, remove_isolated_point)
-from .polys import IrreduciblePoly, RatPoly, max_valuation, roots_in_set
+from .polys import IrreduciblePoly, RatPoly, max_valuation
 
 __all__ = [
     "Decision", "TriState", "RingSpec", "Representation", "RingOfResult",
@@ -540,33 +540,23 @@ def representation_equals(rep: Representation, r: RingSpec,
                           config: Config = DEFAULT_CONFIG) -> TriState:
     """Does the representation describe exactly the ring r?
 
-    Preconditions (errors, not answers): every pinned value must lie in
-    r's local set at its prime.  Given that, the representation matches r
-    iff the pinned values are dense in each local set and no irreducible
-    polynomial outside the listed family escapes the intersection.  The
-    answer is always yes or no: unless all_min is set, a sparse default
+    The unitary part closes onto the ring of its closures, which must
+    contain r: a pinned value outside r's local set is a precondition
+    error, not an answer.  Given that, the representation matches r iff
+    r contains that ring too, so the pinned values are dense in each
+    local set, and no irreducible polynomial outside the listed family
+    escapes the intersection.  Unless all_min is set, a sparse default
     rule lets some q escape, and the no carries the witness 1/q, as in
     ring_of.
     """
-    window = sorted(set(rep.window()) | set(r.window()))
-    closures = {}
-    for p in window:
-        e_p = closure(rep.unitary_at(p, config))
-        closures[p] = e_p
-        if not is_subset(e_p, r.local_set(p, config)):
-            raise PreconditionError(
-                f"pinned values at {p} leave the ring's local set")
-    if not rule_subset(rep.default, r.default, config):
+    spec = _closure_spec(rep, config)
+    inside = ring_contains(spec, r, config)
+    if not inside.is_yes:
         raise PreconditionError(
-            "default pinned values leave the ring's local sets")
-
-    for p in window:
-        if not is_subset(r.local_set(p, config), closures[p]):
-            return TriState.no(f"pinned values not dense at {p}")
-    if not rule_subset(r.default, rep.default, config):
-        return TriState.no("pinned values not dense at almost all primes")
-
-    # density holds, so the unitary part closes onto exactly r's sets
+            f"pinned values leave the ring's local sets: {inside.reason}")
+    dense = ring_contains(r, spec, config)
+    if not dense.is_yes:
+        return TriState.no(f"pinned values not dense: {dense.reason}")
     return _polynomiality(rep, r, config)
 
 
@@ -638,9 +628,9 @@ def _in_minimal_family(spec: RingSpec, q: IrreduciblePoly,
                        config: Config) -> bool:
     """No root in any local set, listed or prescribed by the tail rule,
     whose residues are as _tail_residues gives them."""
-    for p in spec.window():
-        f_p = spec.local_set(p, config)
-        if not f_p.is_empty() and roots_in_set(q, f_p, config):
+    for p, f_p in spec.exceptional:
+        # the sets are closed, so an infinite supremum is a root in the set
+        if not f_p.is_empty() and not is_finite(max_valuation(q, f_p, config)):
             return False
     rule = spec.default
     if residues is None:

@@ -473,13 +473,7 @@ def isolated_points(s: PAdicSet) -> IsolatedPoints:
                 explicit.append(e)
         tails.append(IsolatedTail(q, bound + 1))
     # distinct sequences can share individual elements; report each once
-    seen = set()
-    uniq = []
-    for x in explicit:
-        if x not in seen:
-            seen.add(x)
-            uniq.append(x)
-    return IsolatedPoints(s, tuple(sorted(uniq)), tuple(tails))
+    return IsolatedPoints(s, tuple(sorted(set(explicit))), tuple(tails))
 
 
 def remove_isolated_point(s: PAdicSet, alpha: Rat) -> PAdicSet:

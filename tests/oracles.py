@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import rational_mod, vp
-from ivp.overrings import instantiate
-from ivp.padic import Ball, PAdicSet, SeqWithLimit, is_subset
+from ivp.overrings import Decision, RuleKind, instantiate, rule_subset
+from ivp.padic import Ball, PAdicSet, SeqWithLimit, closure, is_subset
 from ivp.polys import RatPoly
 
 
@@ -550,3 +550,31 @@ def brute_rule_subset(a, b, primes) -> bool:
     every prime up to one past each |element| and modulus of both rules:
     past those, the two rules compare the same way at every prime."""
     return all(is_subset(instantiate(a, p), instantiate(b, p)) for p in primes)
+
+
+def referee_representation_equals(rep, r) -> Decision:
+    """Does the representation describe exactly the ring r, compared one
+    prime at a time?  At each prime listed by either side the closure of
+    the pinned values must lie in r's local set (else PreconditionError)
+    and be dense in it, and so at every prime for the two tail rules,
+    whose sets must be contained both ways.  Then the ring is the polynomial ring of r's sets iff
+    all_min is set or the tail is dense: full, units+p or an infinite
+    integer set."""
+    window = sorted(set(rep.window()) | set(r.window()))
+    closures = {}
+    for p in window:
+        closures[p] = closure(rep.unitary_at(p))
+        if not is_subset(closures[p], r.local_set(p)):
+            raise PreconditionError(f"pinned values at {p} leave the ring")
+    if not rule_subset(rep.default, r.default):
+        raise PreconditionError("default pinned values leave the ring")
+    for p in window:
+        if not is_subset(r.local_set(p), closures[p]):
+            return Decision.NO
+    if not rule_subset(r.default, rep.default):
+        return Decision.NO
+    rule = rep.default
+    dense = (rule.kind in (RuleKind.FULL, RuleKind.UNITS_AND_SELF)
+             or (rule.kind is RuleKind.FROM_INTEGER_SET
+                 and not rule.integer_set.is_finite()))
+    return Decision.YES if rep.all_min or dense else Decision.NO

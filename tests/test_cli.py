@@ -372,6 +372,38 @@ def test_config_file(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--residue-cap", "-5"),
+    ("--degree-cap", "0"),
+    ("--prime-scan-bound", "0"),
+])
+def test_caps_below_one_are_refused_by_name(capsys, argv):
+    code, out, err = run(capsys, *argv, "member", "--set", "full(2)",
+                         "--x", "1")
+    field = argv[0][2:].replace("-", "_")
+    assert code == 1 and out == ""
+    assert err == f"error: {field} must be at least 1, not {argv[1]}\n"
+
+
+def test_config_file_caps_are_positive_integers(tmp_path, capsys):
+    path = tmp_path / "limits.cfg"
+    path.write_text("search_degree_cap = 0\n")
+    code, _, err = run(capsys, "--config", str(path), "selftest")
+    assert code == 1
+    assert err == "error: search_degree_cap must be at least 1, not 0\n"
+    path.write_text("# limits\nresidue_cap = lots\n")
+    code, _, err = run(capsys, "--config", str(path), "selftest")
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {path}:2: residue_cap needs an integer")
+
+
+def test_config_refuses_caps_below_one():
+    for field in Config.__dataclass_fields__:
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
+            Config(**{field: 0})
+    assert Config(residue_cap=1).residue_cap == 1
+
+
 def test_config_file_rejects_removed_keys(tmp_path, capsys):
     path = tmp_path / "old.cfg"
     path.write_text("primality_bits = 128\n")
@@ -413,6 +445,35 @@ def test_over_long_integer_field_is_one_error_line(capsys):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than 4300 digits" in err and ones[:100] not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ring-contains", "--r2", "{}", "--r1", "5"),
+    ("ring-contains", "--r2", "{}", "--r1", '{"exceptional": 5}'),
+    ("ring-contains", "--r2", "{}", "--r1", '{"exceptional": [5]}'),
+    ("ring-contains", "--r2", "{}", "--r1", '{"exceptional": [{"p": 2}]}'),
+    ("ring-contains", "--r2", "{}", "--r1", '{"exceptional": {"2": 5}}'),
+    ("ring-contains", "--r2", "{}", "--r1", '{"default": 5}'),
+    ("ring-contains", "--r2", "{}", "--r1",
+     '{"exceptional": [{"p": [2], "set": "full(2)"}]}'),
+    ("rep-eq", "--ring", "{}", "--rep", '{"nonunitary": [5]}'),
+    ("rep-eq", "--ring", "{}", "--rep", '{"nonunitary": "X+1"}'),
+    ("rep-eq", "--ring", "{}", "--rep", '{"unitary": [["2", "full(2)"]]}'),
+    ("ring-of", "--rep", '{"unitary": {"2": "pts(2; 1)"}, "default": "empty",'
+                         ' "all_min": "no"}'),
+])
+def test_malformed_ring_json_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_all_min_false_still_escapes(capsys):
+    code, out, _ = run(capsys, "ring-of", "--rep",
+                       '{"unitary": {"2": "pts(2; 1)"}, "default": "empty",'
+                       ' "all_min": false}')
+    assert code == 0 and out.splitlines()[-1] == "escape: 1/(2*X - 1)"
 
 
 def test_malformed_ring_file_is_one_error_line(tmp_path, capsys):

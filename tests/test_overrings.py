@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import padic_sets
 from oracles import (brute_rule_subset, is_all_integers, primes_below,
-                     probe_elements, seq_integer_indices)
+                     probe_elements, referee_representation_equals,
+                     seq_integer_indices)
 
 from ivp.adelic import IntegerSet, closure_in_zp
 from ivp.config import DEFAULT_CONFIG, Config
@@ -392,6 +393,35 @@ def test_representation_equals_frozen():
         # unitary set not inside the ring's local set: malformed query
         tiny = RingSpec({2: point_set(2, 0)}, EMPTY_RULE)
         representation_equals(rep, tiny)
+
+
+def _decision_or_error(decide):
+    try:
+        return decide()
+    except PreconditionError:
+        return PreconditionError
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_representation_equals_agrees_with_the_referee(data):
+    # each ring set is the closure of the pinned values or a random closed
+    # set, so yes, no and precondition errors all occur
+    tails = st.sampled_from((FULL_RULE, EMPTY_RULE, single_power_rule(1),
+                             single_power_rule(2)))
+    primes = st.lists(st.sampled_from((2, 3)), unique=True)
+    rep = Representation({p: data.draw(padic_sets(p))
+                          for p in data.draw(primes)},
+                         data.draw(tails), all_min=data.draw(st.booleans()))
+    ring_sets = {}
+    for p in data.draw(primes):
+        pinned = closure(rep.unitary_at(p))
+        ring_sets[p] = data.draw(st.one_of(st.just(pinned),
+                                           padic_sets(p).map(closure)))
+    r = RingSpec(ring_sets, data.draw(st.one_of(st.just(rep.default), tails)))
+    ours = _decision_or_error(lambda: representation_equals(rep, r).decision)
+    assert ours == _decision_or_error(
+        lambda: referee_representation_equals(rep, r))
 
 
 def test_unitary_contains_is_closure_membership():
