@@ -295,9 +295,21 @@ def parse_rule(text: str) -> DefaultRule:
 # adelic candidates and per-prime families
 # ---------------------------------------------------------------------------
 
+def _unique(pairs, what: str) -> dict:
+    """The (key, value) pairs as a dict: the primes of a family or window,
+    or the keys of a JSON object.  A key given twice is an error, never a
+    silent overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"{what} {key!r} given twice")
+        out[key] = value
+    return out
+
+
 def parse_candidate(text: str) -> AdelicCandidate:
     """"2: 65, 3: 65" -> the candidate with those coordinates."""
-    values = {}
+    entries = []
     for part in re.split(r"[;,]", text):
         part = part.strip()
         if not part:
@@ -305,8 +317,9 @@ def parse_candidate(text: str) -> AdelicCandidate:
         p_txt, _, val = part.partition(":")
         if not val:
             raise ParseError(f"candidate entries look like 'p: value': {part!r}")
-        values[parse_int(p_txt, "candidate prime")] = parse_rational(
-            val, "candidate value")
+        entries.append((parse_int(p_txt, "candidate prime"),
+                        parse_rational(val, "candidate value")))
+    values = _unique(entries, "candidate prime")
     if not values:
         raise ParseError("empty candidate")
     return AdelicCandidate.of(values)
@@ -331,7 +344,7 @@ def _split_outside_parens(text: str, sep: str) -> list[str]:
 def parse_family(text: str,
                  config: Config = DEFAULT_CONFIG) -> dict[int, PAdicSet]:
     """"2: full(2); 3: pts(3; 9)" -> per-prime sets."""
-    out = {}
+    entries = []
     for part in _split_outside_parens(text, ";"):
         part = part.strip()
         if not part:
@@ -343,7 +356,8 @@ def parse_family(text: str,
         s = parse_set(body, config)
         if s.p != p:
             raise ParseError(f"set for prime {p} uses prime {s.p}")
-        out[p] = s
+        entries.append((p, s))
+    out = _unique(entries, "family prime")
     if not out:
         raise ParseError("empty family")
     return out
@@ -363,12 +377,14 @@ def _load_json(text_or_obj, what: str) -> dict:
     if isinstance(text_or_obj, dict):
         return text_or_obj
     text = text_or_obj.strip()
+    read = {"parse_int": _json_int,
+            "object_pairs_hook": lambda pairs: _unique(pairs, "JSON key")}
     try:
         if text.startswith("@"):
             with open(text[1:]) as fh:
-                obj = json.load(fh, parse_int=_json_int)
+                obj = json.load(fh, **read)
         else:
-            obj = json.loads(text, parse_int=_json_int)
+            obj = json.loads(text, **read)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -397,9 +413,9 @@ def _parse_prime_sets(entries, what: str,
             for e in entries)):
         raise ParseError(f'{what} must be a mapping from primes to sets or'
                          ' a list of {"p", "set"} objects')
-    return {parse_int(e["p"], "ring prime"):
-            parse_set(_typed(e["set"], str, f"{what} set"), config)
-            for e in entries}
+    return _unique(((parse_int(e["p"], "ring prime"),
+                     parse_set(_typed(e["set"], str, f"{what} set"), config))
+                    for e in entries), f"{what} prime")
 
 
 def parse_ring(text_or_obj, config: Config = DEFAULT_CONFIG) -> RingSpec:

@@ -126,6 +126,28 @@ def power_exponent(n: int, p: int) -> Optional[int]:
     return k if power == n else None
 
 
+def perfect_power(n: int, e: int) -> Optional[int]:
+    """The prime b with n = b^e, if there is one: the prime at which the
+    power(e) tail rule pins n.  Such a b is at least 2 and below
+    2^(bitlen(n)/e + 1), so the bisection never powers past n's size and
+    there is none when e exceeds bitlen(n).  A base past the bound where
+    is_prime decides also gives None: prime_divisors(n) cannot certify
+    such a base prime either, and raises there."""
+    if n < 2 or e > n.bit_length():
+        return None
+    lo, hi = 2, 1 << (n.bit_length() // e + 1)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        power = mid ** e
+        if power == n:
+            return mid if mid < _MR_BOUND and is_prime(mid) else None
+        if power < n:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
+
+
 def check_printable(factor: Rat, p: int, exponent: int, what: str,
                     error: type = PreconditionError) -> None:
     """Reject factor * p^exponent, before forming it, when its numerator

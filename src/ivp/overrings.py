@@ -29,7 +29,8 @@ from .adelic import IntegerSet, closure_in_zp
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .exact import (Congruence, Rat, check_prime_arg, check_printable,
-                    is_finite, is_prime, iter_primes, prime_divisors)
+                    is_finite, is_prime, iter_primes, perfect_power,
+                    prime_divisors)
 from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
 from .padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
                     empty_set, full_set, is_closed, is_subset,
@@ -288,7 +289,11 @@ class RingSpec:
             if not is_closed(s):
                 raise PreconditionError(
                     f"exceptional set at {p} is not closed")
-            if s != instantiate(default, p, config):
+            # canonical units+p(p) has p - 1 balls, so any other count
+            # differs from it without building it
+            if ((default.kind is RuleKind.UNITS_AND_SELF
+                 and len(s.balls) != p - 1)
+                    or s != instantiate(default, p, config)):
                 items.append((p, s))
         object.__setattr__(self, "exceptional", tuple(items))
         object.__setattr__(self, "default", default)
@@ -447,7 +452,7 @@ def _polynomiality(rep: Representation, spec: RingSpec,
     if residues is None:
         return TriState.yes("default rule forces every denominator")
     q = _escaping_polynomial(rep, spec, residues or (0,), config)
-    forced = _unitary_forces_vq(spec, q, residues, config)
+    forced, _ = _unitary_forces_vq(spec, q, residues, config)
     if not forced.is_no:
         raise InvariantError(
             f"constructed unit polynomial {q} is forced: {forced}")
@@ -488,7 +493,7 @@ def _escaping_polynomial(rep: Representation, spec: RingSpec,
 
 def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
                        residues: Optional[tuple[int, ...]],
-                       config: Config) -> TriState:
+                       config: Config) -> tuple[TriState, bool]:
     """Does the intersection of the unitary factors described by spec lie
     inside the valuation overring of q?  residues are those of the tail
     rule, as _tail_residues gives them.
@@ -496,7 +501,11 @@ def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
     Yes when q has a root in one of the sets or the positive suprema of
     vp(q) spread over infinitely many primes; otherwise the finitely many
     finite suprema assemble an escaping rational function and the answer
-    is no, with that witness attached.
+    is no, with that witness attached.  The flag is true when the answer
+    rests on a root of q in a local set, as every yes does except for
+    q = X under units+p or power(k), so it is false exactly for q in the
+    all_min family.  A sparse tail pins integers only, and its roots are
+    found in closed form before any q(z) is factored.
     """
     window = dict(spec.exceptional)
     valuations = {}
@@ -506,34 +515,42 @@ def _unitary_forces_vq(spec: RingSpec, q: IrreduciblePoly,
         # the sets are closed, so an infinite supremum is a root in the set
         valuations[p] = max_valuation(q, f_p, config)
         if not is_finite(valuations[p]):
-            return TriState.yes(f"root inside the set at {p}")
+            return TriState.yes(f"root inside the set at {p}"), True
     rule = spec.default
     if residues is None:
         if rule.kind is not RuleKind.UNITS_AND_SELF:
-            return TriState.yes("roots exist at infinitely many primes")
+            return TriState.yes("roots exist at infinitely many primes"), True
         if q.coeffs == (0, 1):
-            return TriState.yes("vp at the pinned value p is 1 for every p")
-        return TriState.yes("unit roots exist at infinitely many primes")
+            return (TriState.yes("vp at the pinned value p is 1 for every p"),
+                    False)
+        return TriState.yes("unit roots exist at infinitely many primes"), True
 
-    # sparse tail: q is a unit on the points pinned at p unless p divides
-    # q(z) for a tail residue z, so finitely many primes contribute
-    tail_primes = set()
+    # sparse tail: only an integer root can lie in a set it pins, a finite
+    # set's element at every prime off the window or b^k at the prime b;
+    # under power(k), q(0) = 0 makes q = X, of finite positive vp at p^k
     for z in residues:
-        qz = q.eval_int(z)
-        if qz == 0:
+        if q.eval_int(z) == 0:
             if rule.kind is RuleKind.SINGLE_POWER:
                 return TriState.yes(
-                    "vp at the pinned power is positive for every p")
-            return TriState.yes(f"root {z} pinned at every prime")
-        tail_primes.update(prime_divisors(qz, config))
+                    "vp at the pinned power is positive for every p"), False
+            return TriState.yes(f"root {z} pinned at every prime"), True
+    root = q.rational_root()
+    if (rule.kind is RuleKind.SINGLE_POWER and root is not None
+            and root.denominator == 1):
+        base = perfect_power(int(root), rule.exponent)
+        if base is not None and base not in window:
+            return TriState.yes(f"root inside the set at {base}"), True
+    # no root anywhere: q is a unit on the points pinned at p unless p
+    # divides q(z) for a tail residue z, so finitely many primes contribute
+    tail_primes = {ell for z in residues
+                   for ell in prime_divisors(q.eval_int(z), config)}
     family = {p: s for p, s in window.items() if not s.is_empty()}
     for p in sorted(tail_primes.difference(window)):
         family[p] = instantiate(rule, p, config)
         valuations[p] = max_valuation(q, family[p], config)
-        if not is_finite(valuations[p]):
-            return TriState.yes(f"root inside the set at {p}")
     witness = witness_from_valuations(q, family, valuations)
-    return TriState.no("finitely many finite contributions", payload=witness)
+    return (TriState.no("finitely many finite contributions", payload=witness),
+            False)
 
 
 def representation_equals(rep: Representation, r: RingSpec,
@@ -584,7 +601,7 @@ def nonunitary_contains(rep: Representation, q: IrreduciblePoly,
         return TriState.yes("covered by the minimal denominator family")
     spec = _closure_spec(rep, config)
     return _unitary_forces_vq(spec, q, _tail_residues(spec.default, config),
-                              config)
+                              config)[0]
 
 
 def superfluous_unitary(rep: Representation, p: int, alpha: Rat,
@@ -603,68 +620,27 @@ def superfluous_unitary(rep: Representation, p: int, alpha: Rat,
 
 def superfluous_nonunitary(rep: Representation, q: IrreduciblePoly,
                            config: Config = DEFAULT_CONFIG) -> TriState:
-    """Can the listed factor for q be dropped without changing the ring?
+    """Can the factor for q be dropped without changing the ring?
 
-    Other denominator factors never imply this one, so the question is
-    whether the unitary part alone forces the containment.
+    The factor is listed, or belongs to the all_min family: q has no root
+    in any local set.  Other denominator factors never imply this one, so
+    the question is whether the unitary part alone forces the
+    containment; one analysis decides that and whether q has a root.
     """
-    if not rep.lists(q) and not rep.all_min:
+    listed = rep.lists(q)
+    if not listed and not rep.all_min:
         raise PreconditionError(f"{q} is not part of the representation")
     spec = _closure_spec(rep, config)
-    residues = _tail_residues(spec.default, config)
-    if rep.all_min and not rep.lists(q):
-        if not _in_minimal_family(spec, q, residues, config):
-            raise PreconditionError(f"{q} is not part of the representation")
-    return _unitary_forces_vq(spec, q, residues, config)
+    forced, rooted = _unitary_forces_vq(
+        spec, q, _tail_residues(spec.default, config), config)
+    if rooted and not listed:
+        raise PreconditionError(f"{q} is not part of the representation")
+    return forced
 
 
 def _closure_spec(rep: Representation, config: Config) -> RingSpec:
     return RingSpec({p: closure(s) for p, s in rep.unitary},
                     rep.default, config)
-
-
-def _in_minimal_family(spec: RingSpec, q: IrreduciblePoly,
-                       residues: Optional[tuple[int, ...]],
-                       config: Config) -> bool:
-    """No root in any local set, listed or prescribed by the tail rule,
-    whose residues are as _tail_residues gives them."""
-    for p, f_p in spec.exceptional:
-        # the sets are closed, so an infinite supremum is a root in the set
-        if not f_p.is_empty() and not is_finite(max_valuation(q, f_p, config)):
-            return False
-    rule = spec.default
-    if residues is None:
-        # roots at infinitely many primes, except for X under units+p:
-        # its only root 0 is never a pinned value
-        return rule.kind is RuleKind.UNITS_AND_SELF and q.coeffs == (0, 1)
-    # a sparse tail pins integers only, so only an integer root can lie
-    # in it: a finite set's element anywhere, or p^k off the window
-    root = q.rational_root()
-    if root is None or root.denominator != 1:
-        return True
-    if rule.kind is RuleKind.SINGLE_POWER:
-        base = _perfect_power(int(root), rule.exponent)
-        return base is None or base in spec.window()
-    return root not in residues
-
-
-def _perfect_power(n: int, e: int) -> Optional[int]:
-    """The prime b with n = b^e, if there is one.  Such a b is at least 2
-    and below 2^(bitlen(n)/e + 1), so the bisection never powers past n's
-    size and there is none when e exceeds bitlen(n)."""
-    if n < 2 or e > n.bit_length():
-        return None
-    lo, hi = 2, 1 << (n.bit_length() // e + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        power = mid ** e
-        if power == n:
-            return mid if is_prime(mid) else None
-        if power < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import rational_mod, vp
 from ivp.overrings import Decision, RuleKind, instantiate, rule_subset
 from ivp.padic import Ball, PAdicSet, SeqWithLimit, closure, is_subset
-from ivp.polys import RatPoly
+from ivp.polys import RatPoly, roots_in_set
 
 
 def brute_int_vp(n: int, p: int) -> int:
@@ -578,3 +578,33 @@ def referee_representation_equals(rep, r) -> Decision:
              or (rule.kind is RuleKind.FROM_INTEGER_SET
                  and not rule.integer_set.is_finite()))
     return Decision.YES if rep.all_min or dense else Decision.NO
+
+
+def referee_has_root(rep, q) -> bool:
+    """Does q have a root in some local set of the representation's
+    closure ring?  At a window prime, when roots_in_set finds one in the
+    closure of the pinned values.  A dense tail puts a ball at almost
+    every prime, which holds a root of every q at infinitely many primes,
+    except that units+p never holds 0, the only root of X.  A finite tail
+    pins its elements at every prime, so it holds the integer roots of q
+    among them; power(k) pins b^k at b, so it holds an integer root that
+    is b^k for a prime b off the window, found by trying every b."""
+    if any(roots_in_set(q, closure(s)) for _, s in rep.unitary):
+        return True
+    rule = rep.default
+    if rule.kind in (RuleKind.FULL, RuleKind.UNITS_AND_SELF) or (
+            rule.kind is RuleKind.FROM_INTEGER_SET
+            and not rule.integer_set.is_finite()):
+        return not (rule.kind is RuleKind.UNITS_AND_SELF
+                    and q.coeffs == (0, 1))
+    integer_roots = [int(r) for r in rational_roots(q.coeffs)
+                     if r.denominator == 1]
+    if rule.kind is RuleKind.FROM_INTEGER_SET:
+        return any(r in rule.integer_set.finite_elements()
+                   for r in integer_roots)
+    if rule.kind is RuleKind.SINGLE_POWER:
+        window = rep.window()
+        return any(b ** rule.exponent == r and b not in window
+                   for r in integer_roots if r > 1
+                   for b in primes_below(r + 1))
+    return False

@@ -705,3 +705,58 @@ def test_ring_layer_exit_codes(capsys, argv, code, first_line):
     got, out, err = run(capsys, *argv)
     assert got == code
     assert (out or err).splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    # 100140049 = 10007^2, past the trial division that factors q(0)
+    (("nonunitary-contains", "--rep", '{"default": "power(2)"}',
+      "--poly", "X - 100140049"), 0, "yes (root inside the set at 10007)\n"),
+    (("nonunitary-contains", "--rep", '{"default": "intset({0, 100140049})"}',
+      "--poly", "X - 100140049"),
+     0, "yes (root 100140049 pinned at every prime)\n"),
+    # a root base past is_prime's bound is left to factoring, which finds
+    # the factor 2 and no root
+    (("nonunitary-contains", "--rep", '{"default": "power(1)"}',
+      "--poly", "X - 4000000000000000000000006"),
+     0, "no (finitely many finite contributions)\n"
+        "witness: 8000000000000000000000012/(X - 4000000000000000000000006)\n"),
+    (("ring-contains", "--r1", '{"exceptional": {"2097169": "full(2097169)"},'
+      ' "default": "units+p"}', "--r2", "{}"), 0, "yes\n"),
+    (("rep-eq", "--rep", '{"unitary": {"2097169": "full(2097169)"},'
+      ' "default": "units+p"}', "--ring", "{}"),
+     0, "no (pinned values not dense: default rule not contained)\n"),
+])
+def test_roots_in_closed_form_and_unbuilt_units_balls(capsys, argv, code,
+                                                      out):
+    assert run(capsys, *argv) == (code, out, "")
+
+
+def test_superfluous_refuses_a_root_found_in_closed_form(capsys):
+    got = run(capsys, "superfluous", "--rep",
+              '{"default": "power(2)", "all_min": true}',
+              "--poly", "X - 100140049")
+    assert got == (1, "", "error: X - 100140049 is not part of the "
+                          "representation\n")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("ring-eq", "--r1", '{"exceptional": {"2": "pts(2; 0)", "02": "full(2)"}}',
+      "--r2", "{}"), "prime 2"),
+    (("ring-eq", "--r1", '{"exceptional": {"2": "pts(2; 0)", "2": "full(2)"}}',
+      "--r2", "{}"), "'2'"),
+    (("ring-eq", "--r1", '{"exceptional": [{"p": 2, "set": "pts(2; 0)"},'
+      ' {"p": 2, "set": "full(2)"}]}', "--r2", "{}"), "prime 2"),
+    (("ring-eq", "--r1", '{"default": "empty", "default": "full"}',
+      "--r2", "{}"), "'default'"),
+    (("rep-eq", "--rep", '{"unitary": {"3": "full(3)", "03": "pts(3; 1)"}}',
+      "--ring", "{}"), "prime 3"),
+    (("witness", "--poly", "X^2 + 1", "--family", "2: full(2); 2: pts(2; 0)"),
+     "prime 2"),
+    (("adele-hat", "--intset", "Z", "--candidate", "2: 65, 3: 65, 2: 1"),
+     "prime 2"),
+])
+def test_a_prime_or_key_given_twice_is_one_error_line(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and err.endswith(" given twice\n")

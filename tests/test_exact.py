@@ -15,6 +15,7 @@ from ivp.exact import (
     crt_solve,
     is_finite,
     is_prime,
+    perfect_power,
     power_exponent,
     prime_divisors,
     rational_mod,
@@ -51,6 +52,16 @@ def test_power_exponent_matches_repeated_division(p, k, offset):
     expected = brute_int_vp(n, p) if m == 1 else None
     assert power_exponent(n, p) == expected
     assert power_exponent(-n, p) is None and power_exponent(0, p) is None
+
+
+def test_perfect_power_matches_a_brute_force_search():
+    prime_powers = {(p ** e, e): p for p in primes_below(10 ** 4 + 1)
+                    for e in range(1, 21) if p ** e <= 10 ** 4}
+    for e in range(1, 21):
+        for n in range(-2, 10 ** 4 + 1):
+            assert perfect_power(n, e) == prime_powers.get((n, e)), (n, e)
+    # an exponent past n's bit length answers at once
+    assert perfect_power(12345, 3 * 10 ** 6) is None
 
 
 def test_vp_of_large_powers():

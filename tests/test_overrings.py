@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import padic_sets
 from oracles import (brute_rule_subset, is_all_integers, primes_below,
-                     probe_elements, referee_representation_equals,
-                     seq_integer_indices)
+                     probe_elements, referee_has_root,
+                     referee_representation_equals, seq_integer_indices)
 
 from ivp.adelic import IntegerSet, closure_in_zp
 from ivp.config import DEFAULT_CONFIG, Config
@@ -51,7 +51,7 @@ from ivp.overrings import (
     superfluous_unitary,
     unitary_contains,
 )
-from ivp.overrings import _perfect_power, _seq_meets_integers
+from ivp.overrings import _seq_meets_integers
 from ivp.padic import (
     Ball,
     PAdicSet,
@@ -495,16 +495,6 @@ def test_linear_denominators_over_sparse_tails(data):
         assert verdict.payload is not None
 
 
-def test_perfect_power_matches_a_brute_force_search():
-    prime_powers = {(p ** e, e): p for p in primes_below(10 ** 4 + 1)
-                    for e in range(1, 21) if p ** e <= 10 ** 4}
-    for e in range(1, 21):
-        for n in range(-2, 10 ** 4 + 1):
-            assert _perfect_power(n, e) == prime_powers.get((n, e)), (n, e)
-    # an exponent past n's bit length answers at once
-    assert _perfect_power(12345, 3 * 10 ** 6) is None
-
-
 def test_nonunitary_contains_walks_each_root_tree_once(monkeypatch):
     import ivp.polys as polys
     walks = []
@@ -586,6 +576,54 @@ def test_superfluous_nonunitary_over_the_minimal_family(unitary, rule,
     verdict = superfluous_nonunitary(rep, member_q)
     assert str(verdict) == "no (finitely many finite contributions)"
     assert str(verdict.payload) == witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_superfluous_nonunitary_refuses_exactly_the_rooted(data):
+    # an unlisted q lies in the all_min family iff it has no root in any
+    # local set, and then the answer is the one without all_min
+    pinned = (0, 1, -1, 4, 8, 9, 27)
+    finite_tails = st.lists(st.sampled_from(pinned), min_size=1,
+                            unique=True).map(
+        lambda xs: integer_set_rule(IntegerSet.finite(xs)))
+    tails = st.one_of(
+        st.sampled_from((FULL_RULE, EMPTY_RULE, UNITS_AND_SELF_RULE,
+                         integer_set_rule(IntegerSet.without_classes(
+                             Congruence(1, 4))))),
+        st.integers(1, 3).map(single_power_rule), finite_tails)
+    primes = st.lists(st.sampled_from((2, 3)), unique=True)
+    unitary = {p: data.draw(padic_sets(p)) for p in data.draw(primes)}
+    rule = data.draw(tails)
+    # roots the tails pin (2, 5, 25 = 5^2) are drawn as often as the rest
+    q = data.draw(st.one_of(
+        st.sampled_from(pinned + (2, 5, 25)).map(lambda r: irr(-r, 1)),
+        st.integers(-10, 32).map(lambda r: irr(-r, 1)),
+        st.sampled_from((irr(-17, 0, 1), irr(1, 0, 1), irr(-2, 0, 1)))))
+    rep = Representation(unitary, rule, all_min=True)
+    if referee_has_root(rep, q):
+        with pytest.raises(PreconditionError,
+                           match="is not part of the representation"):
+            superfluous_nonunitary(rep, q)
+    else:
+        assert (superfluous_nonunitary(rep, q)
+                == nonunitary_contains(Representation(unitary, rule), q))
+
+
+def test_superfluous_nonunitary_walks_each_root_tree_once(monkeypatch):
+    import ivp.polys as polys
+    walks = []
+    tree_events = polys._tree_events
+
+    def counted(q, ball, config):
+        walks.append(ball.p)
+        return tree_events(q, ball, config)
+    monkeypatch.setattr(polys, "_tree_events", counted)
+    rep = Representation({2: full_set(2), 3: full_set(3), 5: full_set(5)},
+                         EMPTY_RULE, all_min=True)
+    verdict = superfluous_nonunitary(rep, irr(-2, 0, 1))
+    assert verdict.is_no and str(verdict.payload) == "2/(X^2 - 2)"
+    assert sorted(walks) == [2, 3, 5]
 
 
 # ---------------------------------------------------------------------------
