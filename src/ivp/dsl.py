@@ -307,24 +307,6 @@ def _unique(pairs, what: str) -> dict:
     return out
 
 
-def parse_candidate(text: str) -> AdelicCandidate:
-    """"2: 65, 3: 65" -> the candidate with those coordinates."""
-    entries = []
-    for part in re.split(r"[;,]", text):
-        part = part.strip()
-        if not part:
-            continue
-        p_txt, _, val = part.partition(":")
-        if not val:
-            raise ParseError(f"candidate entries look like 'p: value': {part!r}")
-        entries.append((parse_int(p_txt, "candidate prime"),
-                        parse_rational(val, "candidate value")))
-    values = _unique(entries, "candidate prime")
-    if not values:
-        raise ParseError("empty candidate")
-    return AdelicCandidate.of(values)
-
-
 def _split_outside_parens(text: str, sep: str) -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in text:
@@ -341,26 +323,40 @@ def _split_outside_parens(text: str, sep: str) -> list[str]:
     return parts
 
 
-def parse_family(text: str,
-                 config: Config = DEFAULT_CONFIG) -> dict[int, PAdicSet]:
-    """"2: full(2); 3: pts(3; 9)" -> per-prime sets."""
+def _prime_entries(text: str, noun: str, shape: str, read) -> dict:
+    """The ;-separated "p: value" entries of a candidate or a family, as
+    {p: read(value)}.  Entries split outside parentheses, so a set's own
+    separators stay inside it; an empty text or a prime given twice is an
+    error."""
     entries = []
     for part in _split_outside_parens(text, ";"):
         part = part.strip()
         if not part:
             continue
-        p_txt, _, body = part.partition(":")
-        if not body:
-            raise ParseError(f"family entries look like 'p: set': {part!r}")
-        p = parse_int(p_txt, "family prime")
-        s = parse_set(body, config)
-        if s.p != p:
-            raise ParseError(f"set for prime {p} uses prime {s.p}")
-        entries.append((p, s))
-    out = _unique(entries, "family prime")
+        p_txt, _, value = part.partition(":")
+        if not value:
+            raise ParseError(f"{noun} entries look like 'p: {shape}': {part!r}")
+        entries.append((parse_int(p_txt, f"{noun} prime"), read(value)))
+    out = _unique(entries, f"{noun} prime")
     if not out:
-        raise ParseError("empty family")
+        raise ParseError(f"empty {noun}")
     return out
+
+
+def parse_candidate(text: str) -> AdelicCandidate:
+    """"2: 65, 3: 65" -> the candidate with those coordinates."""
+    return AdelicCandidate.of(_prime_entries(
+        text.replace(",", ";"), "candidate", "value",
+        lambda value: parse_rational(value, "candidate value")))
+
+
+def parse_family(text: str,
+                 config: Config = DEFAULT_CONFIG) -> dict[int, PAdicSet]:
+    """"2: full(2); 3: pts(3; 9)" -> per-prime sets.  Whether each set
+    lives at its key's prime is left to the consumer: witness and
+    globalize both check it."""
+    return _prime_entries(text, "family", "set",
+                          lambda body: parse_set(body, config))
 
 
 # ---------------------------------------------------------------------------

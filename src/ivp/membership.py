@@ -188,8 +188,6 @@ def separating_polynomial(e: PAdicSet, alpha: Rat,
     """
     p = e.p
     alpha = Fraction(alpha)
-    if vp(alpha, p) < 0:
-        raise PreconditionError(f"{alpha} is not {p}-integral")
     f_closed = closure(e)
     if member(alpha, f_closed):
         raise PreconditionError(

@@ -712,16 +712,14 @@ def has_irredundant_representation(r: RingSpec,
     """Does some intersection of valuation overrings give r with no
     superfluous factor?
 
-    Requires the isolated points to be dense in every local set; the
-    default rule decides the almost-all-primes part: single points are
-    isolated, balls never are.
+    Requires the isolated points to be dense in every local set.  In a
+    closed set that means no ball: a ball holds no isolated point, every
+    canonical point is one, and every other element is a limit of
+    isolated sequence elements.  The default rule decides the
+    almost-all-primes part: single points are isolated, balls never are.
     """
     for p in r.window():
-        z_p = r.local_set(p, config)
-        if z_p.is_empty():
-            continue
-        iso = isolated_points(z_p)
-        if not is_subset(z_p, iso.closure_set()):
+        if r.local_set(p, config).balls:
             return TriState.no(f"isolated points are not dense at {p}")
     kind = r.default.kind
     if _tail_residues(r.default, config) is None:

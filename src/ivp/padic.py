@@ -430,13 +430,6 @@ class IsolatedPoints:
     explicit: tuple[Fraction, ...]
     tails: tuple[IsolatedTail, ...]
 
-    def closure_set(self) -> PAdicSet:
-        """Closure of the isolated locus, as a set in the algebra."""
-        seqs = [SeqWithLimit._ray(t.seq.p, t.seq.limit, t.seq.unit,
-                                  t.seq.valuation + t.from_n, True)
-                for t in self.tails]
-        return canonicalize(PAdicSet(self.parent.p, (), self.explicit, seqs))
-
 
 def isolated_points(s: PAdicSet) -> IsolatedPoints:
     """Isolated points of a closed set.

@@ -87,11 +87,7 @@ class RatPoly:
         return Fraction(0)
 
     def eval_at(self, x: Rat) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc / self.denominator
+        return Fraction(_horner(self.coeffs, Fraction(x)), self.denominator)
 
     def derivative(self) -> "RatPoly":
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:],
@@ -235,28 +231,32 @@ def _mod_poly_mul(a, b, mod_poly, ell):
     return out or [0]
 
 
+def _monic_mod(coeffs, ell) -> list[int]:
+    """coeffs reduced mod ell, without zero leading terms and made monic;
+    [] when every coefficient vanishes mod ell."""
+    f = [c % ell for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
+        return f
+    inv = pow(f[-1], -1, ell)
+    return [c * inv % ell for c in f]
+
+
 def _mod_poly_gcd(a, b, ell):
-    a, b = [x % ell for x in a], [x % ell for x in b]
-    while any(b):
-        while b and b[-1] % ell == 0:
-            b.pop()
-        if not b:
-            break
+    """The monic gcd of a and b over F_ell, by Euclid from their monic
+    reductions; [0] when both vanish mod ell."""
+    a, b = _monic_mod(a, ell), _monic_mod(b, ell)
+    while b:
         inv = pow(b[-1], -1, ell)
-        b = [x * inv % ell for x in b]
-        while len(a) >= len(b) and any(a):
-            while a and a[-1] % ell == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
-            coef = a[-1]
-            shift = len(a) - len(b)
+        while len(a) >= len(b):                         # a mod b
+            coef, shift = a[-1] * inv % ell, len(a) - len(b)
             for i, bc in enumerate(b):
                 a[shift + i] = (a[shift + i] - coef * bc) % ell
+            while a and a[-1] == 0:
+                a.pop()
         a, b = b, a
-    while a and a[-1] % ell == 0:
-        a.pop()
-    return a or [0]
+    return _monic_mod(a, ell) or [0]
 
 
 def _x_power_mod(monic, e, ell, base=(0, 1)):
@@ -282,14 +282,10 @@ def _irreducible_mod(coeffs: Sequence[int], ell: int) -> bool:
     """Ben-Or's irreducibility test over F_ell (FOCS 1981): f of degree d
     is irreducible iff gcd(f, X^(ell^i) - X) = 1 for each i <= d/2.  It
     stops at the least degree of a factor of f."""
-    f = [c % ell for c in coeffs]
-    while f and f[-1] == 0:
-        f.pop()
-    d = len(f) - 1
+    monic = _monic_mod(coeffs, ell)
+    d = len(monic) - 1
     if d < 1:
         return False
-    inv = pow(f[-1], -1, ell)
-    monic = [c * inv % ell for c in f]
     h = [0, 1]
     for _ in range(d // 2):
         h = _x_power_mod(monic, ell, ell, h)            # X^(ell^i)
@@ -328,16 +324,12 @@ def _roots_mod(f: Sequence[int], ell: int) -> list[int]:
     split by _split_at with a = 0, 1, ...: at a = -y the factor Y - y
     splits off, so the loop ends before a reaches ell.
     """
-    f = [c % ell for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    d = len(f) - 1
+    monic = _monic_mod(f, ell)
+    d = len(monic) - 1
     if d < 1:
         return []
     if ell <= d + 1:
-        return [j for j in range(ell) if _horner(f, j) % ell == 0]
-    inv = pow(f[-1], -1, ell)
-    monic = [c * inv % ell for c in f]
+        return [j for j in range(ell) if _horner(monic, j) % ell == 0]
     pending = [_mod_poly_gcd(monic, _minus_x(_x_power_mod(monic, ell, ell), ell),
                              ell)]
     roots, a = [], 0
@@ -556,6 +548,9 @@ def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
             yield r, m, t, s
             continue
         if m >= depth_cap:
+            # no squarefree q gets here: every class ends within
+            # 2*vp(Res(q, q'), p) + 8 levels of the ball, and B bounds
+            # vp(Res); the check only keeps a broken bound from looping
             raise ResourceLimitError(
                 f"root scan exceeded depth {depth_cap} at class {r} mod {p}^{m}",
                 m, depth_cap)

@@ -16,7 +16,8 @@ from fractions import Fraction
 from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import rational_mod, vp
 from ivp.overrings import Decision, RuleKind, instantiate, rule_subset
-from ivp.padic import Ball, PAdicSet, SeqWithLimit, closure, is_subset
+from ivp.padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
+                       is_subset, isolated_points)
 from ivp.polys import RatPoly, roots_in_set
 
 
@@ -127,6 +128,15 @@ def meets_ball(s: PAdicSet, ball: Ball) -> bool:
         if any(ball.contains(q.element(n)) for n in range(q.start, last + 1)):
             return True
     return False
+
+
+def isolated_closure(s: PAdicSet) -> PAdicSet:
+    """Closure of the isolated points of a closed set: its explicit
+    isolated points plus each isolated tail, limit included."""
+    iso = isolated_points(s)
+    seqs = [SeqWithLimit(t.seq.p, t.seq.limit, t.seq.scale, t.from_n, True)
+            for t in iso.tails]
+    return canonicalize(PAdicSet(s.p, (), iso.explicit, seqs))
 
 
 def _integer_form(f) -> tuple[list[int], int]:

@@ -760,3 +760,35 @@ def test_a_prime_or_key_given_twice_is_one_error_line(capsys, argv, named):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err and err.endswith(" given twice\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    # witness and globalize check that each family set lives at its key
+    (("witness", "--poly", "X^2 + 1", "--family", "2: full(3)"),
+     "set at key 2 lives at prime 3"),
+    (("globalize", "--family", "2: full(3)"), "set at key 2 lives at prime 3"),
+    (("--residue-cap", "2", "roots", "--poly", "X^2 - 17", "--set", "full(2)"),
+     "root scan visited over 2 classes"),
+    (("--residue-cap", "4", "simple",
+      "--ring", '{"exceptional": {"2": "ball(2; 1, 3)"}}'),
+     "residue enumeration at 2"),
+])
+def test_refusals_are_one_named_error_line(capsys, argv, line):
+    assert run(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
+def test_a_window_set_equal_to_the_units_and_self_tail_drops_out(capsys):
+    # units+p(3) is the tail's own set at 3, so both rings have one
+    # canonical form
+    got = run(capsys, "ring-eq",
+              "--r1", '{"exceptional": {"3": "units+p(3)"}, "default": "units+p"}',
+              "--r2", '{"default": "units+p"}')
+    assert got == (0, "yes (identical canonical form)\n", "")
+
+
+def test_search_degree_cap_is_reached_through_a_config_file(tmp_path, capsys):
+    path = tmp_path / "limits.cfg"
+    path.write_text("search_degree_cap = 2\n")
+    got = run(capsys, "--config", str(path), "separate",
+              "--set", "seq(2; 0, 1, 0, -lim) | pts(2; 0)", "--alpha", "3")
+    assert got == (1, "", "error: separator search exceeded the degree cap\n")

@@ -284,8 +284,6 @@ def test_parse_family():
     assert fam[2] == full_set(2)
     assert fam[3] == PAdicSet(3, points=[9])
     with pytest.raises(ParseError):
-        parse_family("2: full(3)")
-    with pytest.raises(ParseError):
         parse_family("")
 
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import padic_sets
-from oracles import (brute_rule_subset, is_all_integers, primes_below,
-                     probe_elements, referee_has_root,
+from oracles import (brute_rule_subset, is_all_integers, isolated_closure,
+                     primes_below, probe_elements, referee_has_root,
                      referee_representation_equals, seq_integer_indices)
 
 from ivp.adelic import IntegerSet, closure_in_zp
@@ -680,6 +680,17 @@ def test_irredundant_frozen_cases():
 ])
 def test_irredundant_reasons_by_tail(ring, answer):
     assert str(has_irredundant_representation(ring)) == answer
+
+
+@settings(max_examples=200, deadline=None)
+@given(padic_sets(max_seqs=3))
+def test_irredundant_agrees_with_the_isolated_points_referee(s):
+    # with an empty tail, the window set alone decides: yes exactly when
+    # its isolated points are dense in it
+    s = closure(s)
+    answer = has_irredundant_representation(RingSpec({s.p: s}, EMPTY_RULE))
+    assert answer.is_yes != answer.is_no
+    assert answer.is_yes == is_subset(s, isolated_closure(s))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PRIMES, p_integral, padic_sets, primes, seqs
-from oracles import (brute_in_closure, brute_member, meets_ball, probe_elements,
-                     set_residues)
+from oracles import (brute_in_closure, brute_member, isolated_closure,
+                     meets_ball, probe_elements, set_residues)
 
 from ivp.errors import PreconditionError
 from ivp.overrings import (
@@ -435,7 +435,9 @@ def test_sequence_tail_is_isolated_but_limit_is_not():
     assert iso.explicit == ()
     assert len(iso.tails) == 1
     assert iso.tails[0].from_n == 0
-    assert not member(Fraction(0), iso.closure_set()) or True  # 0 only as limit
+    # 0 is only a limit: in the closure of the isolated points, not one
+    assert member(Fraction(0), isolated_closure(s))
+    assert Fraction(0) not in iso.explicit
 
 
 def test_isolated_points_canonicalizes_once(monkeypatch):

@@ -7,6 +7,7 @@ that reads as JSON is compared by value, since the README shows it
 compacted.
 """
 
+import argparse
 import json
 import re
 import shlex
@@ -63,3 +64,10 @@ def test_limits_section_names_every_config_field():
     for field in Config.__dataclass_fields__:
         flag = "--" + field.replace("_", "-")
         assert f"`{field}`" in limits or f"`{flag}`" in limits, field
+
+
+def test_subcommand_count_matches_the_parser():
+    count = re.search(r"any of the (\d+)\s+subcommands", README.read_text())
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert int(count.group(1)) == len(subparsers.choices)
