@@ -141,8 +141,6 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
                                       config).points)
         else:
             raise ParseError(f"unknown set component {name!r}")
-    if prime is None:
-        raise ParseError("empty set expression; use empty(p)")
     return PAdicSet(prime, balls, points, seqs)
 
 

@@ -260,15 +260,16 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n below the proven witness bound."""
-    if n >= _MR_BOUND:
-        raise PreconditionError(
-            f"{n} exceeds the deterministic primality bound")
+    """Deterministic primality: at any size for n with a factor among the
+    witnesses, and for every other n below the proven witness bound."""
     if n < 2:
         return False
     for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
+    if n >= _MR_BOUND:
+        raise PreconditionError(
+            f"{n} exceeds the deterministic primality bound")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -750,12 +750,19 @@ def is_simple_integer_set_ring(r: RingSpec,
                                config: Config = DEFAULT_CONFIG) -> tuple[TriState, Optional[SimpleWitness]]:
     """Is r the ring of polynomials integer valued on one set of integers?
 
-    Such a set must be dense in every local set simultaneously, so
-    congruence-style local sets assemble through the Chinese remainder
-    theorem while scattered or sequence-shaped local sets usually
-    obstruct.  Supported shapes get a definite answer, with the integer
-    set attached to a yes; genuinely global interactions beyond them are
-    reported unknown.
+    Such a set E must be dense in every local set at once, so it lies in
+    the integers of each.  Under a full tail, local sets made of balls
+    assemble through the Chinese remainder theorem, and a yes carries E.
+    A window set S_p with no ball refutes.  Its t points and limits and
+    its s rays c + u*p^k hold integers in at most
+    s*ord_q(p)*q^(j-1) + t classes mod q^j, for a prime q off the window
+    that divides no denominator of S_p, since p^k mod q^j has period at
+    most ord_q(p)*q^(j-1).  At the primes q = 1 mod s where p is an s-th
+    power, a positive density by Chebotarev, ord_q(p) <= (q-1)/s, so
+    once q^(j-1) > t some class mod q^j holds no integer of S_p, and E
+    is not dense in Z_q.  A window mixing balls with points or sequences,
+    and a units+p or integer-set tail with a window, are reported
+    unknown.
     """
     kind = r.default.kind
     window = r.window()
@@ -792,62 +799,18 @@ def is_simple_integer_set_ring(r: RingSpec,
             "exceptional sets differ from the defining set's closures"), None)
 
     # full tail
-    for p in window:
-        if r.local_set(p, config).is_empty():
+    for p, s in r.exceptional:
+        if not s.balls:
             return (TriState.no(
-                "an empty local set forces the empty integer set, which is"
-                " not dense in Z_p elsewhere"), None)
-    if all(_balls_only(r.local_set(p, config)) for p in window):
-        e = _crt_integer_set(r, config)
-        return (TriState.yes("congruence classes assemble by CRT"),
-                SimpleWitness(str(e), e))
-    if all(_finitely_many_integers(r.local_set(p, config), config)
-           for p in window):
-        # candidate integers are finitely many, never dense in a full tail
-        return (TriState.no(
-            "only finitely many integers satisfy the local constraints,"
-            " never dense in Z_p at the remaining primes"), None)
-    return (TriState.unknown(
-        "sequence-shaped local sets interact across primes beyond the"
-        " supported analysis"), None)
-
-
-def _balls_only(s: PAdicSet) -> bool:
-    return not s.points and not s.seqs and bool(s.balls)
-
-
-def _finitely_many_integers(s: PAdicSet, config: Config) -> bool:
-    """Does the set hold only finitely many integers?  Points are finite,
-    a ball holds infinitely many, and so does a sequence with one
-    integer element (see _seq_meets_integers)."""
-    return not s.balls and not any(_seq_meets_integers(q, config)
-                                   for q in s.seqs)
-
-
-def _seq_meets_integers(seq: SeqWithLimit, config: Config) -> bool:
-    """Is some element of the sequence an integer?
-
-    With limit = c/e, the unit a/d of the scale, and p prime to both e
-    and d, the element at exponent k is an integer iff c*d + r_k = 0
-    mod e*d for the residue r_k = a*e*p^k.  Multiplying by p is
-    invertible mod e*d, so r_k is purely periodic: the residues past the
-    first element are those of one cycle from k = 0, an integer element
-    recurs forever if there is one, and one cycle of r decides, in at
-    most residue_cap steps.
-    """
-    c, e = seq.limit.numerator, seq.limit.denominator
-    a, d = seq.unit.numerator, seq.unit.denominator
-    modulus = e * d
-    first = r = a * e % modulus
-    for _ in range(config.residue_cap):
-        if (c * d + r) % modulus == 0:
-            return True
-        r = r * seq.p % modulus
-        if r == first:
-            return False
-    raise ResourceLimitError(
-        f"integer elements of {seq}: the fractional parts do not cycle "
-        f"within {config.residue_cap} steps", None, config.residue_cap)
+                f"the set at {p} holds no ball, so its integers miss a class"
+                " mod q^j at some prime q off the window"), None)
+    if any(s.points or s.seqs for _, s in r.exceptional):
+        return (TriState.unknown(
+            "the window mixes balls with points or sequences, beyond the"
+            " supported analysis"), None)
+    e = _crt_integer_set(r, config)
+    return (TriState.yes("congruence classes assemble by CRT"),
+            SimpleWitness(str(e), e))
 
 
 def _crt_integer_set(r: RingSpec, config: Config) -> IntegerSet:

@@ -353,7 +353,8 @@ def sets_equal(a: PAdicSet, b: PAdicSet) -> bool:
 # ---------------------------------------------------------------------------
 
 def _seq_subset(q: SeqWithLimit, b: PAdicSet) -> bool:
-    """Is every element (and included limit) of q contained in set b?
+    """Is every element (and included limit) of q contained in the
+    canonical set b?
 
     The tail is handled symbolically: beyond an explicit index bound the
     elements are either uniformly inside one component of b or uniformly
@@ -363,19 +364,18 @@ def _seq_subset(q: SeqWithLimit, b: PAdicSet) -> bool:
     if q.include_limit and not member(c, b):
         return False
 
-    # a tail rule covers all exponents past its threshold; without one,
-    # balls, points and foreign sequences can only catch finitely many
-    # elements, so some element of q escapes b and the containment fails
-    uniform_from: Optional[int] = None
-    for ball in b.balls:
-        if ball.contains(c):
-            t = ball.depth              # exponents k >= t sit inside the ball
-            uniform_from = t if uniform_from is None else min(uniform_from, t)
-    for other in b.seqs:
-        if other.limit == c and other.unit == q.unit:
-            # one ray: every exponent k >= other.head is an element of other
-            uniform_from = (other.head if uniform_from is None
-                            else min(uniform_from, other.head))
+    # a tail rule covers all exponents past its threshold: exponents
+    # k >= depth sit inside a ball holding c, and k >= head in a ray of b
+    # with q's limit and unit.  Canonical b has at most one such holder,
+    # since its balls are disjoint and no ray's limit lies in a ball.
+    # Without one, balls, points and foreign sequences can only catch
+    # finitely many elements, so some element of q escapes b
+    uniform_from = next((ball.depth for ball in b.balls if ball.contains(c)),
+                        None)
+    if uniform_from is None:
+        uniform_from = next((other.head for other in b.seqs
+                             if other.limit == c and other.unit == q.unit),
+                            None)
     if uniform_from is None:
         return False
     return all(member(q.element(n), b)

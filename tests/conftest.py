@@ -6,9 +6,14 @@ enumeration stays cheap.
 
 from fractions import Fraction
 
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from ivp.padic import Ball, PAdicSet, SeqWithLimit
+
+# selected with --hypothesis-profile no_deadline, for runs slowed down by a
+# tracer (tests/line_coverage.py), where the default 200 ms deadline fails
+# examples that pass untraced
+settings.register_profile("no_deadline", deadline=None)
 
 PRIMES = (2, 3, 5)
 

@@ -339,26 +339,23 @@ def brute_irreducible(coeffs, ell: int) -> bool:
     return True
 
 
-def seq_integer_indices(seq: SeqWithLimit):
-    """Indices n with an integer element, when finitely many; None when
-    they recur forever.  Scans the fractional parts of the elements past
-    the p-part of the scale's denominator until one repeats."""
-    seq = SeqWithLimit(seq.p, seq.limit,
-                       seq.scale * Fraction(seq.p) ** seq.start, 0,
-                       seq.include_limit)
-    start_of_cycle = vp(Fraction(seq.scale).denominator, seq.p)
-    hits = [n for n in range(start_of_cycle)
-            if seq.element(n).denominator == 1]
-    seen = set()
-    n = start_of_cycle
-    while True:
-        frac = seq.element(n) % 1
-        if frac in seen:
-            return tuple(hits)
-        if frac == 0:
-            return None
-        seen.add(frac)
-        n += 1
+def residues_of_ball_free_set(s: PAdicSet, modulus: int) -> set[int]:
+    """The residues mod `modulus` of the points, limits and sequence
+    elements of s, a set with no ball; `modulus` is prime to p and to
+    every denominator of s.  Each sequence contributes one period of p
+    mod `modulus` from its first element on, found by stepping p^k."""
+    out = {rational_mod(x, modulus) for x in s.points}
+    for q in s.seqs:
+        limit = rational_mod(q.limit, modulus)
+        out.add(limit)
+        first = step = (rational_mod(q.unit, modulus)
+                        * pow(q.p, q.head, modulus) % modulus)
+        while True:
+            out.add((limit + step) % modulus)
+            step = step * q.p % modulus
+            if step == first:
+                break
+    return out
 
 
 def brute_max_valuation_lower_bound(q_coeffs, s: PAdicSet, depth: int):

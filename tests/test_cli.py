@@ -91,6 +91,11 @@ def test_roots_json(capsys):
     code, payload, _ = run_json(capsys, "roots", "--poly", "X^2 + 1",
                                 "--set", "full(2)")
     assert payload["count"] == 0
+    code, payload, _ = run_json(capsys, "roots", "--poly", "3*X - 2",
+                                "--set", "full(5)")
+    assert code == 0 and payload["count"] == 1
+    assert payload["certificates"] == [
+        {"ball": "ball(5, 4, 1)", "kind": "exact-rational", "value": "2/3"}]
 
 
 def test_witness(capsys):
@@ -370,6 +375,10 @@ def test_config_file(tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
     code, _, err = run(capsys, "--config", str(missing), "selftest")
     assert code == 1 and "error" in err
+    bad.write_text("residue_cap 5\n")
+    got = run(capsys, "--config", str(bad), "simple", "--ring", RING_INT)
+    assert got == (1, "", f"error: {bad}:1: expected key=value, got "
+                          "'residue_cap 5\\n'\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -676,12 +685,39 @@ def test_isolated_canonicalizes_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_simple_scans_one_fraction_cycle_under_the_residue_cap(capsys):
+def test_simple_refutes_a_ball_free_window_under_any_residue_cap(capsys):
     ring = '{"exceptional": {"2": "seq(2; 0, 1/1000003, 0, +lim)"}, "default": "full"}'
-    code, out, _ = run(capsys, "simple", "--ring", ring)
-    assert code == 0 and out.startswith("no (only finitely many integers")
-    code, _, err = run(capsys, "--residue-cap", "1000", "simple", "--ring", ring)
-    assert code == 1 and "seq(2; 0, 1/1000003, 0, +lim)" in err
+    for caps in ((), ("--residue-cap", "1000")):
+        code, out, _ = run(capsys, *caps, "simple", "--ring", ring)
+        assert code == 0 and out.startswith("no (the set at 2 holds no ball")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("subset", "--a", "ball(2; 1, 3)", "--b", "ball(2; 1, 1)"), 0, "yes\n"),
+    (("subset", "--a", "ball(2; 1, 1)", "--b", "ball(2; 1, 3)"), 0, "no\n"),
+    (("dense", "--e", TWO_POWERS, "--f", "pts(2; 0)"), 0, "yes\n"),
+    (("dense", "--e", "pts(3; 1, 2)", "--f", "ball(3; 1, 1)"), 0, "no\n"),
+    (("roots", "--poly", "3*X - 2", "--set", "full(5)"),
+     0, "1 root(s)\n  exact-rational in ball(5, 4, 1) value 2/3\n"),
+    (("min-ext", "--ring", '{"exceptional": {"3": "pts(3; 1, 4) | ball(3; 2,'
+      ' 1)"}, "default": "empty"}', "--p", "3"),
+     0, "count: 2\n  drop 1\n  drop 4\n"),
+])
+def test_subcommand_outputs(capsys, argv, code, out):
+    assert run(capsys, *argv) == (code, out, "")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    # a factor among the primality witnesses decides past their bound
+    (("min-ext", "--ring", "{}", "--p", "4" + "0" * 27),
+     1, "", f"error: expected a prime, got {4 * 10 ** 27}\n"),
+    (("ring-contains", "--r1", '{"default": "intset({1%s})"}' % ("0" * 30),
+      "--r2", '{"default": "units+p"}'),
+     0, "no (default rule not contained)\n", ""),
+])
+def test_a_number_past_the_primality_bound_with_a_small_factor(
+        capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
 
 
 def test_residue_cap_bounds_the_finiteness_check(capsys):
@@ -697,9 +733,13 @@ def test_residue_cap_bounds_the_finiteness_check(capsys):
 @pytest.mark.parametrize("argv, code, first_line", [
     (("superfluous", "--rep", '{"default": "power(2)", "all_min": true}',
       "--poly", "X - 9"), 1, "error: X - 9 is not part of the representation"),
+    (("simple", "--ring", '{"default": "full", "exceptional": {"2": "ball(2; 0,'
+      ' 1) | pts(2; 1)", "3": "ball(3; 0, 1)"}}'),
+     2, "unknown (the window mixes balls with points or sequences, beyond the"
+        " supported analysis)"),
     (("simple", "--ring", '{"exceptional": {"2": "seq(2; 1, 1, 0, +lim)"}}'),
-     2, "unknown (sequence-shaped local sets interact across primes beyond"
-        " the supported analysis)"),
+     0, "no (the set at 2 holds no ball, so its integers miss a class mod q^j"
+        " at some prime q off the window)"),
 ])
 def test_ring_layer_exit_codes(capsys, argv, code, first_line):
     got, out, err = run(capsys, *argv)

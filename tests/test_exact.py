@@ -182,9 +182,11 @@ def test_is_prime_past_the_twelve_base_bound():
     # base 2..37, so the thirteenth base 41 is what exposes it
     assert not is_prime(318665857834031151167461)
     assert is_prime(2 ** 79 - 67)           # largest prime below 2^79
-    # psi_13 fools bases 2..41 too; it and everything above is refused
+    # psi_13 fools bases 2..41 too; from it on, a number with no factor
+    # among the witnesses is refused, and one with such a factor decided
     with pytest.raises(PreconditionError):
         is_prime(3317044064679887385961981)
+    assert not is_prime(41 * 3317044064679887385961981)
 
 
 def test_prime_divisors():

@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import padic_sets
 from oracles import (brute_rule_subset, is_all_integers, isolated_closure,
                      primes_below, probe_elements, referee_has_root,
-                     referee_representation_equals, seq_integer_indices)
+                     referee_representation_equals, residues_of_ball_free_set)
 
 from ivp.adelic import IntegerSet, closure_in_zp
-from ivp.config import DEFAULT_CONFIG, Config
-from ivp.errors import PreconditionError, ResourceLimitError
+from ivp.errors import PreconditionError
 from ivp.exact import Congruence, vp
 from ivp.membership import is_integer_valued
 from ivp.overrings import (
@@ -51,7 +50,6 @@ from ivp.overrings import (
     superfluous_unitary,
     unitary_contains,
 )
-from ivp.overrings import _seq_meets_integers
 from ivp.padic import (
     Ball,
     PAdicSet,
@@ -763,31 +761,24 @@ def test_simple_full_tail_assembles_ball_windows_by_crt():
 def test_simple_full_tail_with_a_sequence_or_an_empty_window():
     seq_ring = RingSpec({2: PAdicSet(2, seqs=[SeqWithLimit(2, 1, 1, 0)])})
     verdict, witness = is_simple_integer_set_ring(seq_ring)
-    assert verdict.is_unknown and witness is None
+    assert verdict.is_no and witness is None
     verdict, witness = is_simple_integer_set_ring(RingSpec({2: PAdicSet(2)}))
     assert verdict.is_no and witness is None
 
 
-@settings(max_examples=150)
-@given(st.sampled_from([2, 3, 5]), st.integers(-40, 40), st.integers(1, 30),
-       st.integers(-30, 30).filter(bool), st.integers(1, 30),
-       st.integers(0, 2), st.integers(0, 2), st.booleans())
-def test_seq_integer_test_matches_the_fraction_scan(p, c, e, a, d, k, extra,
-                                                    include):
-    if e % p == 0 or d % p == 0:
-        return
-    seq = SeqWithLimit(p, Fraction(c, e), Fraction(a, d * p ** k), k + extra,
-                       include)
-    scanned = seq_integer_indices(seq)
-    assert scanned in (None, ())     # integer elements never stop once seen
-    assert _seq_meets_integers(seq, DEFAULT_CONFIG) == (scanned is None)
-
-
-def test_seq_integer_test_is_capped():
-    seq = SeqWithLimit(2, 0, Fraction(1, 1000003))
-    assert not _seq_meets_integers(seq, DEFAULT_CONFIG)
-    with pytest.raises(ResourceLimitError, match=r"seq\(2; 0, 1/1000003"):
-        _seq_meets_integers(seq, Config(residue_cap=1000))
+@settings(max_examples=100, deadline=None)
+@given(padic_sets(max_balls=0))
+def test_simple_refutes_a_ball_free_window_by_a_missed_class(s):
+    s = closure(s)
+    verdict, witness = is_simple_integer_set_ring(RingSpec({s.p: s}))
+    assert verdict.is_no and witness is None
+    # the refutation's counting argument, replayed: the integers of s miss
+    # a class mod q^j at a prime q off the window and off its denominators
+    denominators = math.prod(x.denominator for x in (
+        *s.points, *(q.limit for q in s.seqs), *(q.unit for q in s.seqs)))
+    assert any(len(residues_of_ball_free_set(s, q ** j)) < q ** j
+               for q in primes_below(60) if q != s.p and denominators % q
+               for j in (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
