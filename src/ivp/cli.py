@@ -3,6 +3,10 @@
 Every query subcommand prints a human-readable answer (or JSON with
 --json) and exits 0 for a definite result, 2 for an honest unknown, and
 1 for errors including violated preconditions.
+
+Each flag is read once, by the dsl reader or argparse type declared with
+it in build_parser; main applies the readers in declaration order once the
+Config is built, so every handler gets parsed values.
 """
 
 from __future__ import annotations
@@ -35,33 +39,28 @@ def _tristate_result(ts: TriState, **extra):
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each gets its flags already read (see build_parser)
 # ---------------------------------------------------------------------------
 
-def _cmd_member(args, config):
-    s = dsl.parse_set(args.set, config)
-    return _bool_result(padic.member(dsl.parse_rational(args.x), s))
+def _cmd_member(args):
+    return _bool_result(padic.member(args.x, args.set))
 
 
-def _cmd_closure(args, config):
-    s = padic.closure(dsl.parse_set(args.set, config))
+def _cmd_closure(args):
+    s = padic.closure(args.set)
     return 0, {"closure": str(s)}, [str(s)]
 
 
-def _cmd_subset(args, config):
-    a = dsl.parse_set(args.a, config)
-    b = dsl.parse_set(args.b, config)
-    return _bool_result(padic.is_subset(a, b))
+def _cmd_subset(args):
+    return _bool_result(padic.is_subset(args.a, args.b))
 
 
-def _cmd_dense(args, config):
-    e = dsl.parse_set(args.e, config)
-    f = dsl.parse_set(args.f, config)
-    return _bool_result(padic.is_dense_in(e, f))
+def _cmd_dense(args):
+    return _bool_result(padic.is_dense_in(args.e, args.f))
 
 
-def _cmd_isolated(args, config):
-    iso = padic.isolated_points(dsl.parse_set(args.set, config))
+def _cmd_isolated(args):
+    iso = padic.isolated_points(args.set)
     payload = {
         "explicit": [str(x) for x in iso.explicit],
         "tails": [{"seq": str(t.seq), "from": t.from_n} for t in iso.tails],
@@ -72,10 +71,8 @@ def _cmd_isolated(args, config):
     return 0, payload, lines
 
 
-def _cmd_roots(args, config):
-    q = dsl.parse_irreducible(args.poly, config)
-    s = dsl.parse_set(args.set, config)
-    certs = polys.roots_in_set(q, s, config)
+def _cmd_roots(args):
+    certs = polys.roots_in_set(args.poly, args.set, args.config)
     payload = {"count": len(certs), "certificates": []}
     lines = [f"{len(certs)} root(s)"]
     for c in certs:
@@ -88,10 +85,9 @@ def _cmd_roots(args, config):
     return 0, payload, lines
 
 
-def _cmd_maxval(args, config):
-    q = dsl.parse_irreducible(args.poly, config)
-    s = dsl.parse_set(args.set, config)
-    value, witness = polys.max_valuation_witness(q, s, config)
+def _cmd_maxval(args):
+    value, witness = polys.max_valuation_witness(args.poly, args.set,
+                                                 args.config)
     if not is_finite(value):
         return 0, {"value": "infinity"}, ["infinity (root in the closure)"]
     payload = {"value": value}
@@ -102,43 +98,32 @@ def _cmd_maxval(args, config):
     return 0, payload, lines
 
 
-def _cmd_intval(args, config):
-    f = dsl.parse_poly(args.poly, config)
-    s = dsl.parse_set(args.set, config)
-    return _bool_result(membership.is_integer_valued(f, s))
+def _cmd_intval(args):
+    return _bool_result(membership.is_integer_valued(args.poly, args.set))
 
 
-def _cmd_witness(args, config):
-    q = dsl.parse_irreducible(args.poly, config)
-    family = dsl.parse_family(args.family, config)
-    w = membership.witness_rational_function(q, family, config)
+def _cmd_witness(args):
+    w = membership.witness_rational_function(args.poly, args.family, args.config)
     payload = {"witness": str(w),
                "exponents": {str(p): e for p, e in w.exponents}}
     return 0, payload, [str(w)]
 
 
-def _cmd_separate(args, config):
-    s = dsl.parse_set(args.set, config)
-    f = membership.separating_polynomial(s, dsl.parse_rational(args.alpha),
-                                         config)
+def _cmd_separate(args):
+    f = membership.separating_polynomial(args.set, args.alpha, args.config)
     return 0, {"polynomial": str(f)}, [str(f)]
 
 
-def _cmd_ring_eq(args, config):
-    r1 = dsl.parse_ring(args.r1, config)
-    r2 = dsl.parse_ring(args.r2, config)
-    return _tristate_result(overrings.ring_equal(r1, r2, config))
+def _cmd_ring_eq(args):
+    return _tristate_result(overrings.ring_equal(args.r1, args.r2, args.config))
 
 
-def _cmd_ring_contains(args, config):
-    r1 = dsl.parse_ring(args.r1, config)
-    r2 = dsl.parse_ring(args.r2, config)
-    return _tristate_result(overrings.ring_contains(r1, r2, config))
+def _cmd_ring_contains(args):
+    return _tristate_result(overrings.ring_contains(args.r1, args.r2, args.config))
 
 
-def _cmd_ring_of(args, config):
-    rep = dsl.parse_representation(args.rep, config)
-    res = overrings.ring_of(rep, config)
+def _cmd_ring_of(args):
+    res = overrings.ring_of(args.rep, args.config)
     payload = {"ring": dsl.format_ring(res.spec),
                "polynomial": res.polynomial.decision.value,
                "reason": res.polynomial.reason}
@@ -150,38 +135,33 @@ def _cmd_ring_of(args, config):
     return 0, payload, lines
 
 
-def _cmd_rep_eq(args, config):
-    rep = dsl.parse_representation(args.rep, config)
-    ring = dsl.parse_ring(args.ring, config)
-    return _tristate_result(overrings.representation_equals(rep, ring, config))
+def _cmd_rep_eq(args):
+    return _tristate_result(
+        overrings.representation_equals(args.rep, args.ring, args.config))
 
 
-def _cmd_unitary_contains(args, config):
-    rep = dsl.parse_representation(args.rep, config)
+def _cmd_unitary_contains(args):
     return _bool_result(overrings.unitary_contains(
-        rep, args.p, dsl.parse_rational(args.alpha), config))
+        args.rep, args.p, args.alpha, args.config))
 
 
-def _cmd_nonunitary_contains(args, config):
-    rep = dsl.parse_representation(args.rep, config)
-    q = dsl.parse_irreducible(args.poly, config)
-    return _tristate_result(overrings.nonunitary_contains(rep, q, config))
+def _cmd_nonunitary_contains(args):
+    return _tristate_result(
+        overrings.nonunitary_contains(args.rep, args.poly, args.config))
 
 
-def _cmd_superfluous(args, config):
-    rep = dsl.parse_representation(args.rep, config)
+def _cmd_superfluous(args):
     if args.poly is not None:
-        q = dsl.parse_irreducible(args.poly, config)
-        return _tristate_result(overrings.superfluous_nonunitary(rep, q, config))
+        return _tristate_result(overrings.superfluous_nonunitary(
+            args.rep, args.poly, args.config))
     if args.p is None or args.alpha is None:
         raise IvpError("superfluous needs either --poly or both --p and --alpha")
     return _bool_result(overrings.superfluous_unitary(
-        rep, args.p, dsl.parse_rational(args.alpha), config))
+        args.rep, args.p, args.alpha, args.config))
 
 
-def _cmd_min_ext(args, config):
-    ring = dsl.parse_ring(args.ring, config)
-    ext = overrings.minimal_extensions(ring, args.p, config)
+def _cmd_min_ext(args):
+    ext = overrings.minimal_extensions(args.ring, args.p, args.config)
     payload = {
         "explicit": [{"value": str(x), "ring": dsl.format_ring(r)}
                      for x, r in ext.explicit],
@@ -196,27 +176,23 @@ def _cmd_min_ext(args, config):
     return 0, payload, lines
 
 
-def _cmd_irredundant(args, config):
-    ring = dsl.parse_ring(args.ring, config)
-    return _tristate_result(overrings.has_irredundant_representation(ring, config))
+def _cmd_irredundant(args):
+    return _tristate_result(
+        overrings.has_irredundant_representation(args.ring, args.config))
 
 
-def _cmd_localize(args, config):
-    ring = dsl.parse_ring(args.ring, config)
-    local = overrings.localize(ring, args.p, config)
+def _cmd_localize(args):
+    local = overrings.localize(args.ring, args.p, args.config)
     return 0, {"ring": dsl.format_ring(local)}, [json.dumps(dsl.format_ring(local))]
 
 
-def _cmd_globalize(args, config):
-    family = dsl.parse_family(args.family, config)
-    rule = dsl.parse_rule(args.default)
-    ring = overrings.globalize(family, rule, config)
+def _cmd_globalize(args):
+    ring = overrings.globalize(args.family, args.default, args.config)
     return 0, {"ring": dsl.format_ring(ring)}, [json.dumps(dsl.format_ring(ring))]
 
 
-def _cmd_simple(args, config):
-    ring = dsl.parse_ring(args.ring, config)
-    ts, witness = overrings.is_simple_integer_set_ring(ring, config)
+def _cmd_simple(args):
+    ts, witness = overrings.is_simple_integer_set_ring(args.ring, args.config)
     extra = {}
     if witness is not None:
         extra["set"] = witness.description
@@ -226,28 +202,25 @@ def _cmd_simple(args, config):
     return code, payload, lines
 
 
-def _cmd_adele_prod(args, config):
-    e = dsl.parse_intset(args.intset)
-    x = dsl.parse_candidate(args.candidate)
-    return _bool_result(adelic.product_closure_member(e, x, config))
+def _cmd_adele_prod(args):
+    return _bool_result(adelic.product_closure_member(
+        args.intset, args.candidate, args.config))
 
 
-def _cmd_adele_hat(args, config):
-    e = dsl.parse_intset(args.intset)
-    x = dsl.parse_candidate(args.candidate)
-    return _bool_result(adelic.adelic_closure_member(e, x, config))
+def _cmd_adele_hat(args):
+    return _bool_result(adelic.adelic_closure_member(
+        args.intset, args.candidate, args.config))
 
 
-def _cmd_adele_diff(args, config):
-    e = dsl.parse_intset(args.intset)
-    w = adelic.closures_differ(e, config)
+def _cmd_adele_diff(args):
+    w = adelic.closures_differ(args.intset, args.config)
     if w is None:
         return 0, {"differ": False}, ["closures agree on all canonical candidates"]
     return 0, {"differ": True, "candidate": str(w)}, [f"candidate: {w}"]
 
 
-def _cmd_selftest(args, config):
-    checks = 0
+def _cmd_selftest(args):
+    config, checks = args.config, 0
 
     def check(holds: bool, what: str) -> None:
         if not holds:
@@ -297,16 +270,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_flag(text: str) -> int:
-    """The type of the integer flags: dsl's digit-limited reader.  Its
-    error becomes ArgumentTypeError, which argparse prints as it is, so an
-    over-long value is named by the limit and never echoed."""
+    """The type of the integer flags: dsl.parse_int, whose refusal argparse
+    prints as it is, so an over-long value is named, never echoed."""
     try:
         return dsl.parse_int(text, "value")
     except dsl.ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="machine-readable output")
-    common.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS,
+    common.add_argument("--config", dest="config_path", metavar="PATH",
+                        default=argparse.SUPPRESS,
                         help="key=value file overriding resource limits")
     for flag in ("--residue-cap", "--degree-cap", "--prime-scan-bound"):
         common.add_argument(flag, type=_int_flag, default=argparse.SUPPRESS)
@@ -326,96 +296,100 @@ def build_parser() -> argparse.ArgumentParser:
                     "integer-valued polynomials, and the associated rings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, **arguments):
+    def add(name, handler, help_text, **flags):
+        # a flag given as a reader is required and read by it; one given as
+        # a dict holds argparse keywords and perhaps a "read"
         p = sub.add_parser(name, help=help_text, parents=[common])
-        for arg, kwargs in arguments.items():
-            p.add_argument(f"--{arg.replace('_', '-')}", **kwargs)
-        p.set_defaults(handler=handler)
-        return p
+        readers = {}
+        for dest, spec in flags.items():
+            spec = dict(spec) if isinstance(spec, dict) else {
+                "required": True, "read": spec}
+            if "read" in spec:
+                readers[dest] = spec.pop("read")
+            p.add_argument(f"--{dest}", **spec)
+        p.set_defaults(handler=handler, readers=readers)
 
-    req = {"required": True}
-    add("member", _cmd_member, "is x in the set",
-        set=req, x=req)
-    add("closure", _cmd_closure, "canonical topological closure",
-        set=req)
-    add("subset", _cmd_subset, "is a a subset of b",
-        a=req, b=req)
-    add("dense", _cmd_dense, "is e dense in f",
-        e=req, f=req)
-    add("isolated", _cmd_isolated, "isolated points of a closed set",
-        set=req)
+    def plain(read):        # a reader that takes no Config
+        return lambda text, _config: read(text)
+
+    pset, irreducible = dsl.parse_set, dsl.parse_irreducible
+    ring, rep = dsl.parse_ring, dsl.parse_representation
+    rational, intset = plain(dsl.parse_rational), plain(dsl.parse_intset)
+    candidate = plain(dsl.parse_candidate)
+    prime = {"required": True, "type": _int_flag}
+    add("member", _cmd_member, "is x in the set", set=pset, x=rational)
+    add("closure", _cmd_closure, "canonical topological closure", set=pset)
+    add("subset", _cmd_subset, "is a a subset of b", a=pset, b=pset)
+    add("dense", _cmd_dense, "is e dense in f", e=pset, f=pset)
+    add("isolated", _cmd_isolated, "isolated points of a closed set", set=pset)
     add("roots", _cmd_roots, "certified roots of q inside the set",
-        poly=req, set=req)
+        poly=irreducible, set=pset)
     add("maxval", _cmd_maxval, "supremum of vp(q) over the set",
-        poly=req, set=req)
+        poly=irreducible, set=pset)
     add("intval", _cmd_intval, "is f integer valued on the set",
-        poly=req, set=req)
+        poly=dsl.parse_poly, set=pset)
     add("witness", _cmd_witness, "escape rational function for q and a family",
-        poly=req, family=req)
+        poly=irreducible, family=dsl.parse_family)
     add("separate", _cmd_separate, "polynomial separating alpha from the set",
-        set=req, alpha=req)
-    add("ring-of", _cmd_ring_of, "ring described by a representation",
-        rep=req)
-    add("ring-eq", _cmd_ring_eq, "are two rings equal",
-        r1=req, r2=req)
+        set=pset, alpha=rational)
+    add("ring-of", _cmd_ring_of, "ring described by a representation", rep=rep)
+    add("ring-eq", _cmd_ring_eq, "are two rings equal", r1=ring, r2=ring)
     add("ring-contains", _cmd_ring_contains, "is r1 a superset of r2",
-        r1=req, r2=req)
+        r1=ring, r2=ring)
     add("rep-eq", _cmd_rep_eq, "does the representation describe the ring",
-        rep=req, ring=req)
+        rep=rep, ring=ring)
     add("unitary-contains", _cmd_unitary_contains,
         "is the valuation ring at (p, alpha) forced",
-        rep=req, p={"required": True, "type": _int_flag}, alpha=req)
+        rep=rep, p=prime, alpha=rational)
     add("nonunitary-contains", _cmd_nonunitary_contains,
-        "is the valuation ring of q forced",
-        rep=req, poly=req)
-    add("superfluous", _cmd_superfluous, "can the factor be dropped",
-        rep=req, p={"type": _int_flag}, alpha={}, poly={})
+        "is the valuation ring of q forced", rep=rep, poly=irreducible)
+    add("superfluous", _cmd_superfluous, "can the factor be dropped", rep=rep,
+        p={"type": _int_flag}, alpha={"read": rational},
+        poly={"read": irreducible})
     add("min-ext", _cmd_min_ext, "minimal ring extensions at p",
-        ring=req, p={"required": True, "type": _int_flag})
+        ring=ring, p=prime)
     add("irredundant", _cmd_irredundant,
-        "does an irredundant representation exist",
-        ring=req)
+        "does an irredundant representation exist", ring=ring)
     add("localize", _cmd_localize, "keep only the constraint at p",
-        ring=req, p={"required": True, "type": _int_flag})
+        ring=ring, p=prime)
     add("globalize", _cmd_globalize, "assemble a ring from per-prime sets",
-        family=req, default={"default": "empty"})
+        family=dsl.parse_family,
+        default={"default": "empty", "read": plain(dsl.parse_rule)})
     add("simple", _cmd_simple, "is the ring cut out by one set of integers",
-        ring=req)
+        ring=ring)
     add("adele-prod", _cmd_adele_prod,
         "candidate in the product of per-prime closures",
-        intset=req, candidate=req)
+        intset=intset, candidate=candidate)
     add("adele-hat", _cmd_adele_hat,
         "candidate in the restricted-product closure",
-        intset=req, candidate=req)
+        intset=intset, candidate=candidate)
     add("adele-diff", _cmd_adele_diff, "do the two closures differ",
-        intset=req)
+        intset=intset)
     add("selftest", _cmd_selftest, "quick internal consistency checks")
     return parser
 
 
 def _build_config(args) -> Config:
-    config = load_config_file(args.config) if args.config else DEFAULT_CONFIG
+    config = (load_config_file(args.config_path) if args.config_path
+              else DEFAULT_CONFIG)
     overrides = {key: getattr(args, key)
                  for key in ("residue_cap", "degree_cap", "prime_scan_bound")
                  if getattr(args, key) is not None}
     return replace(config, **overrides)
 
 
-# the common flags use SUPPRESS defaults so that a value given before the
-# subcommand survives the subparser pass; absent flags are filled in here
-_COMMON_DEFAULTS = {"json": False, "config": None, "residue_cap": None,
-                    "degree_cap": None, "prime_scan_bound": None}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for dest, value in _COMMON_DEFAULTS.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, value)
+    # the common flags use SUPPRESS defaults so that a value given before
+    # the subcommand survives the subparser pass; absent flags keep these
+    defaults = argparse.Namespace(json=False, config_path=None, residue_cap=None,
+                                  degree_cap=None, prime_scan_bound=None)
+    args = build_parser().parse_args(argv, namespace=defaults)
     try:
-        config = _build_config(args)
-        code, payload, lines = args.handler(args, config)
+        args.config = _build_config(args)
+        for dest, read in args.readers.items():
+            if getattr(args, dest) is not None:
+                setattr(args, dest, read(getattr(args, dest), args.config))
+        code, payload, lines = args.handler(args)
     except (IvpError, ValueError, OSError, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

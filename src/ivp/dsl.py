@@ -59,20 +59,25 @@ def _check_digits(text: str, what: str) -> None:
 
 
 def parse_int(text, what: str) -> int:
-    """Read an integer field named `what`; a ring's JSON may give a prime
-    as a number.  Over-long digits raise ParseError, naming the field."""
+    """Read the decimal integer field `what` (a ring's JSON may give a
+    prime as a number); every refusal is a ParseError naming the field."""
     if isinstance(text, bool) or not isinstance(text, (int, str)):
         raise ParseError(f"{what} must be an integer")
     _check_digits(str(text), what)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"invalid int {what}: {text!r}") from None
 
 
 def parse_rational(text: str, what: str = "rational") -> Fraction:
-    _check_digits(text, what)
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+    """`n` or `n/d`, each part read by parse_int: no point or exponent."""
+    numerator, slash, denominator = text.partition("/")
+    n = parse_int(numerator, what)
+    d = parse_int(denominator, what) if slash else 1
+    if d == 0:
+        raise ParseError(f"{what} {text!r} has a zero denominator")
+    return Fraction(n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,8 @@ def _min_val_seq(factors, seq, p: int):
     Distances to the factors stabilize once vp(scale) + n passes every
     vp(limit - a); from there the product valuation is constant in n (or
     increasing, when the limit itself is a factor), so a finite prefix
-    plus one tail sample is exact.
+    plus one tail sample is exact.  The sample is no factor, and an
+    included limit is no lower: it is as far from every other factor.
     """
     sv = seq.valuation
     gaps = [vp(seq.limit - a, p) for a in factors if a != seq.limit]
@@ -148,11 +149,7 @@ def _min_val_seq(factors, seq, p: int):
         v = _sum_val(factors, x, p)
         if is_finite(v) and (best is None or v < best):
             best, wit = v, x
-    if seq.include_limit:
-        v = _sum_val(factors, seq.limit, p)
-        if is_finite(v) and (best is None or v < best):
-            best, wit = v, seq.limit
-    return (best, wit) if best is not None else (INFINITY, None)
+    return best, wit
 
 
 def _min_valuation(factors: list[Fraction], s: PAdicSet):

@@ -33,7 +33,7 @@ from .exact import (Congruence, Rat, check_prime_arg, check_printable,
                     prime_divisors)
 from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
 from .padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
-                    empty_set, full_set, is_closed, is_subset,
+                    empty_set, full_set, is_subset,
                     isolated_points, member, remove_isolated_point)
 from .polys import IrreduciblePoly, RatPoly, max_valuation
 
@@ -286,7 +286,8 @@ class RingSpec:
         default = normalize_rule(default, config)
         items = []
         for p, s in _sets_by_prime(exceptional):
-            if not is_closed(s):
+            # is_closed, read off the canonical s without canonicalizing again
+            if not all(q.include_limit for q in s.seqs):
                 raise PreconditionError(
                     f"exceptional set at {p} is not closed")
             # canonical units+p(p) has p - 1 balls, so any other count

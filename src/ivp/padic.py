@@ -131,12 +131,6 @@ class SeqWithLimit:
         """The exponent k of the first element, limit + unit * p^k."""
         return self.valuation + self.start
 
-    def _with_limit(self, include_limit: bool) -> "SeqWithLimit":
-        seq = object.__new__(type(self))
-        seq._set(self.p, self.limit, self.scale, self.start, include_limit,
-                 self.unit, self.valuation)
-        return seq
-
     def element(self, n: int) -> Fraction:
         k = self.valuation + n
         power = self.p ** k if k >= 0 else Fraction(1, self.p ** -k)
@@ -232,8 +226,8 @@ def member(alpha: Rat, s: PAdicSet) -> bool:
 
 def closure(s: PAdicSet) -> PAdicSet:
     """Topological closure: the set plus all sequence limits, canonical."""
-    seqs = [q._with_limit(True) for q in s.seqs]
-    return canonicalize(PAdicSet(s.p, s.balls, s.points, seqs))
+    limits = tuple(q.limit for q in s.seqs)
+    return canonicalize(PAdicSet(s.p, s.balls, s.points + limits, s.seqs))
 
 
 def is_closed(s: PAdicSet) -> bool:

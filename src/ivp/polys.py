@@ -93,11 +93,6 @@ class RatPoly:
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:],
                        self.denominator)
 
-    def shifted(self, center: Rat) -> "RatPoly":
-        """Taylor shift: the polynomial h with h(Y) = self(center + Y)."""
-        return RatPoly.from_fractions(
-            _taylor_shift(self.fraction_coeffs(), Fraction(center)))
-
     def __add__(self, other: "RatPoly") -> "RatPoly":
         a, b = self.fraction_coeffs(), other.fraction_coeffs()
         if len(a) < len(b):
@@ -629,23 +624,15 @@ def max_valuation_witness(q: IrreduciblePoly, s: PAdicSet,
             return INFINITY, None
         consider(v, x)
     for seq in s.seqs:
-        shifted = RatPoly(q.coeffs).shifted(seq.limit)
-        b0 = shifted.coefficient(0)
-        v0 = vp(b0, p)
+        v0 = vp(q.eval_at(seq.limit), p)
         if not is_finite(v0):
             return INFINITY, None       # q(limit) = 0
-        av = seq.head
-        stable = 0
-        for i in range(1, shifted.degree + 1):
-            bi = shifted.coefficient(i)
-            if bi == 0:
-                continue
-            vi = vp(bi, p)
-            # smallest n with vi + i*(av + n) > v0
-            need = math.ceil((v0 + 1 - vi) / i) - av
-            stable = max(stable, need)
-        consider(v0, seq.element(seq.start + stable))
-        for n in range(seq.start, seq.start + stable):
+        # q has integer coefficients and the limit is p-integral, so
+        # vp(q(x) - q(limit)) >= vp(x - limit): every element from the
+        # exponent v0 + 1 on has valuation v0
+        settled = max(seq.head, v0 + 1) - seq.valuation
+        consider(v0, seq.element(settled))
+        for n in range(seq.start, settled):
             x = seq.element(n)
             v = vp(q.eval_at(x), p)
             if not is_finite(v):

@@ -4,6 +4,7 @@ Exit code contract: 0 definite answer, 2 honest unknown, 1 for every
 kind of error (usage, parse, precondition, resource).
 """
 
+import argparse
 import ast
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ivp
-from ivp import adelic, overrings, padic
+from ivp import adelic, cli, overrings, padic
 from ivp.cli import main
 from ivp.config import Config
 from ivp.dsl import parse_poly, parse_set
@@ -664,6 +665,37 @@ def test_library_imports_only_from_lower_layers():
         assert getattr(ivp, name) is getattr(overrings, name)
 
 
+def test_each_flag_is_read_once_through_its_declared_reader():
+    # handlers get parsed values: only selftest, which has no flags, reads
+    # text itself, and every subcommand flag has one reader or one type
+    def parses(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "dsl"
+                and node.func.attr.startswith("parse_"))
+
+    handlers = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    parsing = {node.name for node in handlers
+               if any(parses(n) for n in ast.walk(node))}
+    assert parsing == {"_cmd_selftest"}
+    common = {"help", "json", "config_path", "residue_cap", "degree_cap",
+              "prime_scan_bound"}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert {sub.get_default("handler").__name__
+            for sub in subparsers.choices.values()} == {
+                node.name for node in handlers}
+    for name, sub in subparsers.choices.items():
+        readers = sub.get_default("readers")
+        flags = {a.dest: a for a in sub._actions if a.dest not in common}
+        assert set(readers) <= set(flags), name
+        for dest, action in flags.items():
+            assert (dest in readers) + (action.type is not None) == 1, (
+                name, dest)
+
+
 def test_isolated_output(capsys):
     code, payload, _ = run_json(capsys, "isolated", "--set",
                                 "seq(2; 0, 1, 0, +lim)")
@@ -832,3 +864,29 @@ def test_search_degree_cap_is_reached_through_a_config_file(tmp_path, capsys):
     got = run(capsys, "--config", str(path), "separate",
               "--set", "seq(2; 0, 1, 0, -lim) | pts(2; 0)", "--alpha", "3")
     assert got == (1, "", "error: separator search exceeded the degree cap\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    # integers are decimal and rationals n or n/d, so an exponent is
+    # refused as read, before any power of ten is formed
+    (("member", "--set", "full(2)", "--x", "1e100000000"),
+     "invalid int rational: '1e100000000'"),
+    (("member", "--set", "full(2)", "--x", "1e10000000000"),
+     "invalid int rational: '1e10000000000'"),
+    (("closure", "--set", "pts(2; 1e5000)"), "invalid int point: '1e5000'"),
+    (("member", "--set", "ball(2; 1, x)", "--x", "1"),
+     "invalid int ball depth: 'x'"),
+    (("closure", "--set", "power(2; x)"), "invalid int power exponent: 'x'"),
+    (("adele-diff", "--intset", "{a}"), "invalid int element: 'a'"),
+    (("globalize", "--family", "x: full(2)"), "invalid int family prime: 'x'"),
+    (("localize", "--ring", '{"exceptional": {"x": "full(2)"}}', "--p", "2"),
+     "invalid int ring prime: 'x'"),
+    (("member", "--set", "full(2)", "--x", "1/0"),
+     "rational '1/0' has a zero denominator"),
+    # every flag is read, also one the command then ignores
+    (("superfluous", "--rep", '{"nonunitary": ["X"]}', "--poly", "X",
+      "--alpha", "1.5"), "invalid int rational: '1.5'"),
+])
+def test_a_malformed_number_is_one_error_line_naming_its_field(
+        capsys, argv, line):
+    assert run(capsys, *argv) == (1, "", f"error: {line}\n")

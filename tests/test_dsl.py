@@ -112,6 +112,22 @@ def test_balls_past_the_printing_limit_are_refused_before_reduction():
     assert parse_set("ball(3; -1, 9000)").balls[0].depth == 9000
 
 
+@pytest.mark.parametrize("text, message", [
+    # no decimal point, exponent or other Fraction syntax: every number
+    # formed from text is one whose digits were checked
+    ("1e5", "invalid int point: '1e5'"),
+    ("1.5", "invalid int point: '1.5'"),
+    ("inf", "invalid int point: 'inf'"),
+    ("1/2/3", "invalid int point: '2/3'"),
+    ("1/", "invalid int point: ''"),
+    ("3/0", "point '3/0' has a zero denominator"),
+])
+def test_rationals_are_integers_or_their_quotients(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_rational(text, "point")
+    assert str(info.value) == message
+
+
 # every integer field of the text forms, with N standing for a number one
 # digit past the interpreter's limit on reading integers
 _LONG_FIELDS = [
