@@ -17,18 +17,15 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from . import adelic, dsl, membership, overrings, padic, polys
-from .config import DEFAULT_CONFIG, Config, load_config_file
-from .errors import InvariantError, IvpError
-from .exact import is_finite
-from .overrings import TriState
+from . import (adelic, config, dsl, errors, exact, membership, overrings,
+               padic, polys)
 
 
 def _bool_result(flag: bool, **extra):
     return 0, {"answer": bool(flag), **extra}, ["yes" if flag else "no"]
 
 
-def _tristate_result(ts: TriState, **extra):
+def _tristate_result(ts: overrings.TriState, **extra):
     code = 2 if ts.is_unknown else 0
     payload = {"answer": ts.decision.value, "reason": ts.reason, **extra}
     lines = [str(ts)]
@@ -88,7 +85,7 @@ def _cmd_roots(args):
 def _cmd_maxval(args):
     value, witness = polys.max_valuation_witness(args.poly, args.set,
                                                  args.config)
-    if not is_finite(value):
+    if not exact.is_finite(value):
         return 0, {"value": "infinity"}, ["infinity (root in the closure)"]
     payload = {"value": value}
     lines = [str(value)]
@@ -155,7 +152,8 @@ def _cmd_superfluous(args):
         return _tristate_result(overrings.superfluous_nonunitary(
             args.rep, args.poly, args.config))
     if args.p is None or args.alpha is None:
-        raise IvpError("superfluous needs either --poly or both --p and --alpha")
+        raise errors.IvpError(
+            "superfluous needs either --poly or both --p and --alpha")
     return _bool_result(overrings.superfluous_unitary(
         args.rep, args.p, args.alpha, args.config))
 
@@ -224,7 +222,7 @@ def _cmd_selftest(args):
 
     def check(holds: bool, what: str) -> None:
         if not holds:
-            raise InvariantError(f"selftest failed: {what}")
+            raise errors.InvariantError(f"selftest failed: {what}")
 
     s = dsl.parse_set("seq(2; 0, 1, 0, -lim)", config)
     check(not padic.member(Fraction(0), s)
@@ -369,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args) -> Config:
-    config = (load_config_file(args.config_path) if args.config_path
-              else DEFAULT_CONFIG)
+def _build_config(args) -> config.Config:
+    base = (config.load_config_file(args.config_path) if args.config_path
+            else config.DEFAULT_CONFIG)
     overrides = {key: getattr(args, key)
                  for key in ("residue_cap", "degree_cap", "prime_scan_bound")
                  if getattr(args, key) is not None}
-    return replace(config, **overrides)
+    return replace(base, **overrides)
 
 
 def main(argv=None) -> int:
@@ -390,7 +388,8 @@ def main(argv=None) -> int:
             if getattr(args, dest) is not None:
                 setattr(args, dest, read(getattr(args, dest), args.config))
         code, payload, lines = args.handler(args)
-    except (IvpError, ValueError, OSError, MemoryError, RecursionError) as exc:
+    except (errors.IvpError, ValueError, OSError, MemoryError,
+            RecursionError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     if args.json:

@@ -26,15 +26,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .adelic import AdelicCandidate, IntegerSet
+from . import adelic, overrings, padic, polys
 from .config import DEFAULT_CONFIG, Config
 from .errors import PreconditionError
 from .exact import Congruence, check_printable
-from .overrings import (DefaultRule, Representation, RingSpec, instantiate,
-                        EMPTY_RULE, FULL_RULE, UNITS_AND_SELF_RULE,
-                        integer_set_rule, single_power_rule)
-from .padic import Ball, PAdicSet, SeqWithLimit
-from .polys import IrreduciblePoly, RatPoly
 
 __all__ = [
     "parse_int", "parse_rational", "parse_set", "parse_poly",
@@ -48,26 +43,42 @@ class ParseError(PreconditionError):
     pass
 
 
+_ECHO = 40
+
+
+def _echo(field) -> str:
+    """repr(field) for an error line; a field longer than _ECHO characters
+    is cut there and marked with "...", so a long field gives a short line."""
+    text = str(field)
+    if len(text) <= _ECHO:
+        return repr(field)
+    cut = text[:_ECHO]
+    return f"{cut!r}..." if isinstance(field, str) else f"{cut}..."
+
+
 def _check_digits(text: str, what: str) -> None:
     """Reject a number longer than sys.get_int_max_str_digits(), naming
     the field and the limit but never echoing the digits."""
     limit = sys.get_int_max_str_digits()
     if limit and any(len(run) > limit
-                     for run in re.findall(r"\d+", text.replace("_", ""))):
+                     for run in re.findall(r"[0-9]+", text.replace("_", ""))):
         raise ParseError(f"{what} has more than {limit} digits, the limit "
                          "on reading integers")
 
 
 def parse_int(text, what: str) -> int:
     """Read the decimal integer field `what` (a ring's JSON may give a
-    prime as a number); every refusal is a ParseError naming the field."""
+    prime as a number); every refusal is a ParseError naming the field.
+    The digits are ASCII ones: int() would also read other scripts'."""
     if isinstance(text, bool) or not isinstance(text, (int, str)):
         raise ParseError(f"{what} must be an integer")
     _check_digits(str(text), what)
     try:
-        return int(text)
+        if str(text).isascii():
+            return int(text)
     except ValueError:
-        raise ParseError(f"invalid int {what}: {text!r}") from None
+        pass
+    raise ParseError(f"invalid int {what}: {_echo(text)}")
 
 
 def parse_rational(text: str, what: str = "rational") -> Fraction:
@@ -76,7 +87,7 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
     n = parse_int(numerator, what)
     d = parse_int(denominator, what) if slash else 1
     if d == 0:
-        raise ParseError(f"{what} {text!r} has a zero denominator")
+        raise ParseError(f"{what} {_echo(text)} has a zero denominator")
     return Fraction(n, d)
 
 
@@ -84,8 +95,13 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
 # p-adic sets
 # ---------------------------------------------------------------------------
 
-_PLAIN_RULES = {"full": FULL_RULE, "empty": EMPTY_RULE,
-                "units+p": UNITS_AND_SELF_RULE}
+# the set each plain tail rule of the same name prescribes at p
+_PLAIN_SETS = {
+    "full": lambda p, config: padic.full_set(p),
+    "empty": lambda p, config: padic.empty_set(p),
+    "units+p": lambda p, config: padic.units_and_self_set(p,
+                                                          config.residue_cap),
+}
 _COMPONENT = re.compile(r"^\s*([a-z+]+)\s*\((.*)\)\s*$", re.DOTALL)
 
 
@@ -94,13 +110,13 @@ def _args(body: str) -> list[str]:
     return [a for a in parts if a]
 
 
-def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
+def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> padic.PAdicSet:
     balls, points, seqs = [], [], []
     prime = None
     for chunk in text.split("|"):
         m = _COMPONENT.match(chunk)
         if not m:
-            raise ParseError(f"bad set component {chunk!r}")
+            raise ParseError(f"bad set component {_echo(chunk)}")
         name, args = m.group(1), _args(m.group(2))
         if not args:
             raise ParseError(f"component {name} needs a prime")
@@ -115,45 +131,43 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> PAdicSet:
                 raise ParseError("ball takes (p; center, depth)")
             depth = parse_int(rest[1], "ball depth")
             check_printable(1, p, depth, f"ball modulus {p}^{depth}", ParseError)
-            balls.append(Ball(p, parse_rational(rest[0], "ball center"),
-                              depth))
+            balls.append(padic.Ball(p, parse_rational(rest[0], "ball center"),
+                                    depth))
         elif name == "pts":
             points.extend(parse_rational(a, "point") for a in rest)
         elif name == "seq":
             if len(rest) != 4 or rest[3] not in ("+lim", "-lim"):
                 raise ParseError(
                     "seq takes (p; limit, scale, start, +lim|-lim)")
-            seq = SeqWithLimit(p, parse_rational(rest[0], "sequence limit"),
-                               parse_rational(rest[1], "sequence scale"),
-                               parse_int(rest[2], "sequence start"),
-                               rest[3] == "+lim")
+            seq = padic.SeqWithLimit(
+                p, parse_rational(rest[0], "sequence limit"),
+                parse_rational(rest[1], "sequence scale"),
+                parse_int(rest[2], "sequence start"), rest[3] == "+lim")
             check_printable(seq.scale, p, seq.start,
                             f"sequence scale {seq.scale}*{p}^{seq.start}",
                             ParseError)
             seqs.append(seq)
-        elif name in _PLAIN_RULES:
+        elif name in _PLAIN_SETS:
             if rest:
                 raise ParseError(f"{name} takes (p)")
-            # the tail rule of the same name, at p
-            part = instantiate(_PLAIN_RULES[name], p, config)
+            part = _PLAIN_SETS[name](p, config)
             balls.extend(part.balls)
             points.extend(part.points)
         elif name == "power":
             if len(rest) != 1:
                 raise ParseError("power takes (p; exponent)")
             exponent = parse_int(rest[0], "power exponent")
-            points.extend(instantiate(single_power_rule(exponent), p,
-                                      config).points)
+            points.extend(padic.power_set(p, exponent).points)
         else:
-            raise ParseError(f"unknown set component {name!r}")
-    return PAdicSet(prime, balls, points, seqs)
+            raise ParseError(f"unknown set component {_echo(name)}")
+    return padic.PAdicSet(prime, balls, points, seqs)
 
 
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
-def parse_poly(text: str, config: Config = DEFAULT_CONFIG) -> RatPoly:
+def parse_poly(text: str, config: Config = DEFAULT_CONFIG) -> polys.RatPoly:
     """Read a polynomial in X from ordinary expression syntax.
 
     Python's own parser builds the tree ("^" is read as "**"); the walk
@@ -168,9 +182,9 @@ def parse_poly(text: str, config: Config = DEFAULT_CONFIG) -> RatPoly:
         return _poly_of(ast.parse(source, mode="eval").body, source,
                         config.degree_cap)
     except SyntaxError as exc:
-        raise ParseError(f"bad polynomial {text!r}: {exc.msg}") from None
+        raise ParseError(f"bad polynomial {_echo(text)}: {exc.msg}") from None
     except RecursionError:
-        raise ParseError(f"polynomial nested too deeply: {text[:40]!r}...") from None
+        raise ParseError(f"polynomial nested too deeply: {_echo(text)}") from None
 
 
 def _literal(node, source: str) -> int | None:
@@ -187,12 +201,12 @@ def _check_degree(degree: int, cap: int) -> None:
         raise ParseError(f"degree {degree} exceeds cap {cap}")
 
 
-def _poly_of(node, source: str, cap: int) -> RatPoly:
+def _poly_of(node, source: str, cap: int) -> polys.RatPoly:
     if isinstance(node, ast.Name) and node.id in ("X", "x"):
-        return RatPoly.x()
+        return polys.RatPoly.x()
     value = _literal(node, source)
     if value is not None:
-        return RatPoly.constant(value)
+        return polys.RatPoly.constant(value)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         f = _poly_of(node.operand, source, cap)
         return -f if isinstance(node.op, ast.USub) else f
@@ -216,14 +230,14 @@ def _poly_of(node, source: str, cap: int) -> RatPoly:
             return left * right
         if right.degree != 0:
             raise ParseError("division only by nonzero constants")
-        return left * RatPoly.constant(1 / right.eval_at(0))
+        return left * polys.RatPoly.constant(1 / right.eval_at(0))
     raise ParseError(
-        f"unexpected {ast.get_source_segment(source, node)!r} in polynomial")
+        f"unexpected {_echo(ast.get_source_segment(source, node))} in polynomial")
 
 
 def parse_irreducible(text: str,
-                      config: Config = DEFAULT_CONFIG) -> IrreduciblePoly:
-    return IrreduciblePoly.certify(parse_poly(text, config), config)
+                      config: Config = DEFAULT_CONFIG) -> polys.IrreduciblePoly:
+    return polys.IrreduciblePoly.certify(parse_poly(text, config), config)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +245,10 @@ def parse_irreducible(text: str,
 # ---------------------------------------------------------------------------
 
 _BRACES = re.compile(r"^\{([^}]*)\}")
-_EXCLUDE = re.compile(r"^\\\s*\(\s*(-?\d+)\s+mod\s+(\d+)\s*\)")
+_EXCLUDE = re.compile(r"^\\\s*\(\s*(-?[0-9]+)\s+mod\s+([0-9]+)\s*\)")
 
 
-def parse_intset(text: str) -> IntegerSet:
+def parse_intset(text: str) -> adelic.IntegerSet:
     rest = text.strip()
     base = None
     if rest.startswith("Z"):
@@ -242,14 +256,15 @@ def parse_intset(text: str) -> IntegerSet:
     else:
         m = _BRACES.match(rest)
         if not m:
-            raise ParseError(f"integer set must start with Z or {{...}}: {text!r}")
+            raise ParseError(
+                f"integer set must start with Z or {{...}}: {_echo(text)}")
         base = _int_list(m.group(1))
         rest = rest[m.end():].lstrip()
     excluded = []
     while rest.startswith("\\"):
         m = _EXCLUDE.match(rest)
         if not m:
-            raise ParseError(f"bad exclusion near {rest!r}")
+            raise ParseError(f"bad exclusion near {_echo(rest)}")
         excluded.append(Congruence(parse_int(m.group(1), "residue"),
                                    parse_int(m.group(2), "modulus")))
         rest = rest[m.end():].lstrip()
@@ -258,12 +273,12 @@ def parse_intset(text: str) -> IntegerSet:
         rest = rest[1:].lstrip()
         m = _BRACES.match(rest)
         if not m:
-            raise ParseError(f"expected {{...}} after U in {text!r}")
+            raise ParseError(f"expected {{...}} after U in {_echo(text)}")
         extra = _int_list(m.group(1))
         rest = rest[m.end():].lstrip()
     if rest:
-        raise ParseError(f"trailing input in integer set: {rest!r}")
-    return IntegerSet(base=base, excluded=tuple(excluded), extra=extra)
+        raise ParseError(f"trailing input in integer set: {_echo(rest)}")
+    return adelic.IntegerSet(base=base, excluded=tuple(excluded), extra=extra)
 
 
 def _int_list(body: str) -> tuple[int, ...]:
@@ -280,18 +295,19 @@ def _int_list(body: str) -> tuple[int, ...]:
 _RULE = re.compile(r"^\s*([a-z+]+)\s*(?:\((.*)\))?\s*$", re.DOTALL)
 
 
-def parse_rule(text: str) -> DefaultRule:
+def parse_rule(text: str) -> overrings.DefaultRule:
     m = _RULE.match(text)
     if not m:
-        raise ParseError(f"bad rule {text!r}")
+        raise ParseError(f"bad rule {_echo(text)}")
     name, body = m.group(1), m.group(2)
-    if name in _PLAIN_RULES and body is None:
-        return _PLAIN_RULES[name]
+    if name in _PLAIN_SETS and body is None:
+        return {"full": overrings.FULL_RULE, "empty": overrings.EMPTY_RULE,
+                "units+p": overrings.UNITS_AND_SELF_RULE}[name]
     if name == "power" and body is not None:
-        return single_power_rule(parse_int(body, "rule exponent"))
+        return overrings.single_power_rule(parse_int(body, "rule exponent"))
     if name == "intset" and body is not None:
-        return integer_set_rule(parse_intset(body))
-    raise ParseError(f"unknown rule {text!r}")
+        return overrings.integer_set_rule(parse_intset(body))
+    raise ParseError(f"unknown rule {_echo(text)}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +321,7 @@ def _unique(pairs, what: str) -> dict:
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ParseError(f"{what} {key!r} given twice")
+            raise ParseError(f"{what} {_echo(key)} given twice")
         out[key] = value
     return out
 
@@ -338,7 +354,8 @@ def _prime_entries(text: str, noun: str, shape: str, read) -> dict:
             continue
         p_txt, _, value = part.partition(":")
         if not value:
-            raise ParseError(f"{noun} entries look like 'p: {shape}': {part!r}")
+            raise ParseError(
+                f"{noun} entries look like 'p: {shape}': {_echo(part)}")
         entries.append((parse_int(p_txt, f"{noun} prime"), read(value)))
     out = _unique(entries, f"{noun} prime")
     if not out:
@@ -346,15 +363,15 @@ def _prime_entries(text: str, noun: str, shape: str, read) -> dict:
     return out
 
 
-def parse_candidate(text: str) -> AdelicCandidate:
+def parse_candidate(text: str) -> adelic.AdelicCandidate:
     """"2: 65, 3: 65" -> the candidate with those coordinates."""
-    return AdelicCandidate.of(_prime_entries(
+    return adelic.AdelicCandidate.of(_prime_entries(
         text.replace(",", ";"), "candidate", "value",
         lambda value: parse_rational(value, "candidate value")))
 
 
 def parse_family(text: str,
-                 config: Config = DEFAULT_CONFIG) -> dict[int, PAdicSet]:
+                 config: Config = DEFAULT_CONFIG) -> dict[int, padic.PAdicSet]:
     """"2: full(2); 3: pts(3; 9)" -> per-prime sets.  Whether each set
     lives at its key's prime is left to the consumer: witness and
     globalize both check it."""
@@ -401,7 +418,7 @@ def _typed(value, kind: type, what: str):
 
 
 def _parse_prime_sets(entries, what: str,
-                      config: Config) -> dict[int, PAdicSet]:
+                      config: Config) -> dict[int, padic.PAdicSet]:
     """Accept either a mapping {"2": "full(2)"} or a list of
     {"p": 2, "set": "full(2)"} objects (the list is what format_ring
     emits, the mapping is the convenient hand-written form)."""
@@ -417,17 +434,18 @@ def _parse_prime_sets(entries, what: str,
                     for e in entries), f"{what} prime")
 
 
-def parse_ring(text_or_obj, config: Config = DEFAULT_CONFIG) -> RingSpec:
+def parse_ring(text_or_obj,
+               config: Config = DEFAULT_CONFIG) -> overrings.RingSpec:
     obj = _load_json(text_or_obj, "ring")
     unknown = set(obj) - {"exceptional", "default"}
     if unknown:
         raise ParseError(f"unknown ring keys {sorted(unknown)}")
-    return RingSpec(
+    return overrings.RingSpec(
         _parse_prime_sets(obj.get("exceptional", {}), "exceptional", config),
         parse_rule(_typed(obj.get("default", "full"), str, "default")), config)
 
 
-def format_ring(r: RingSpec) -> dict:
+def format_ring(r: overrings.RingSpec) -> dict:
     return {
         "exceptional": [{"p": p, "set": str(s)}
                         for p, s in r.exceptional],
@@ -435,23 +453,25 @@ def format_ring(r: RingSpec) -> dict:
     }
 
 
-def parse_representation(text_or_obj,
-                         config: Config = DEFAULT_CONFIG) -> Representation:
+def parse_representation(
+        text_or_obj,
+        config: Config = DEFAULT_CONFIG) -> overrings.Representation:
     obj = _load_json(text_or_obj, "representation")
     unknown = set(obj) - {"unitary", "default", "nonunitary", "all_min"}
     if unknown:
         raise ParseError(f"unknown representation keys {sorted(unknown)}")
-    polys = [parse_irreducible(_typed(q, str, "nonunitary polynomial"), config)
-             for q in _typed(obj.get("nonunitary", []), list, "nonunitary")]
-    return Representation(
+    nonunitary = [
+        parse_irreducible(_typed(q, str, "nonunitary polynomial"), config)
+        for q in _typed(obj.get("nonunitary", []), list, "nonunitary")]
+    return overrings.Representation(
         _parse_prime_sets(obj.get("unitary", {}), "unitary", config),
         parse_rule(_typed(obj.get("default", "full"), str, "default")),
-        nonunitary=polys,
+        nonunitary=nonunitary,
         all_min=_typed(obj.get("all_min", False), bool, "all_min"),
         config=config)
 
 
-def format_representation(rep: Representation) -> dict:
+def format_representation(rep: overrings.Representation) -> dict:
     return {
         "unitary": [{"p": p, "set": str(s)} for p, s in rep.unitary],
         "default": str(rep.default),

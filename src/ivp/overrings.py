@@ -28,13 +28,12 @@ from typing import Optional
 from .adelic import IntegerSet, closure_in_zp
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, ResourceLimitError
-from .exact import (Congruence, Rat, check_prime_arg, check_printable,
-                    is_finite, is_prime, iter_primes, perfect_power,
-                    prime_divisors)
+from .exact import (Congruence, Rat, check_prime_arg, is_finite, is_prime,
+                    iter_primes, perfect_power, prime_divisors)
 from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
-from .padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
-                    empty_set, full_set, is_subset,
-                    isolated_points, member, remove_isolated_point)
+from .padic import (PAdicSet, SeqWithLimit, canonicalize, closure,
+                    empty_set, full_set, is_subset, isolated_points, member,
+                    power_set, remove_isolated_point, units_and_self_set)
 from .polys import IrreduciblePoly, RatPoly, max_valuation
 
 __all__ = [
@@ -156,24 +155,17 @@ def integer_set_rule(integer_set: IntegerSet) -> DefaultRule:
 def instantiate(rule: DefaultRule, p: int,
                 config: Config = DEFAULT_CONFIG) -> PAdicSet:
     """The concrete closed set the rule prescribes at prime p."""
-    check_prime_arg(p)
     if rule.kind is RuleKind.FULL:
         return full_set(p)
     if rule.kind is RuleKind.EMPTY:
         return empty_set(p)
     if rule.kind is RuleKind.SINGLE_POWER:
-        # a rule is formed at each prime, so p^k is checked where it is built
-        check_printable(1, p, rule.exponent, f"{p}^{rule.exponent}")
-        return PAdicSet(p, points=[Fraction(p) ** rule.exponent])
+        return power_set(p, rule.exponent)
     if rule.kind is RuleKind.UNITS_AND_SELF:
-        # p itself plus every unit: {p} with the p-1 unit cosets mod p
-        if p - 1 > config.residue_cap:
-            raise ResourceLimitError(
-                f"units+p({p}) needs {p - 1} unit balls, over the residue "
-                f"cap {config.residue_cap}", p - 1, config.residue_cap)
-        return PAdicSet(p, balls=[Ball(p, r, 1) for r in range(1, p)],
-                        points=[Fraction(p)])
+        return units_and_self_set(p, config.residue_cap)
     if rule.kind is RuleKind.FROM_INTEGER_SET:
+        # the plain rules' sets check p themselves; the closure does not
+        check_prime_arg(p)
         return closure_in_zp(rule.integer_set, p, config)
     raise PreconditionError(f"unknown rule {rule.kind}")
 

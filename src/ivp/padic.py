@@ -15,9 +15,10 @@ algebra, so structural equality of canonical forms is set equality.
 The set algebra takes no ``Config``: Z_p is ultrametric, so balls are
 nested or disjoint, and no question here needs a capped search.
 
-This module holds the set algebra alone.  The tail rules that prescribe
-one such set at almost every prime live with the rings they describe, in
-``overrings``.
+This module holds the set algebra and the sets of the plain tail rules
+(full, empty, units+p, power(k)) at one prime.  The rules themselves,
+which prescribe such a set at almost every prime, live with the rings
+they describe, in ``overrings``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import PreconditionError
-from .exact import Rat, check_prime_arg, power_exponent, rational_mod, vp
+from .errors import PreconditionError, ResourceLimitError
+from .exact import (Rat, check_prime_arg, check_printable, power_exponent,
+                    rational_mod, vp)
 
 
 def _p_integral(x: Rat, p: int) -> bool:
@@ -208,6 +210,28 @@ def full_set(p: int) -> PAdicSet:
 
 def point_set(p: int, *points: Rat) -> PAdicSet:
     return PAdicSet(p, points=[Fraction(x) for x in points])
+
+
+def units_and_self_set(p: int, residue_cap: int) -> PAdicSet:
+    """p itself plus every unit: {p} with the p - 1 unit cosets mod p,
+    refused before they are built when p - 1 passes residue_cap."""
+    check_prime_arg(p)
+    if p - 1 > residue_cap:
+        raise ResourceLimitError(
+            f"units+p({p}) needs {p - 1} unit balls, over the residue "
+            f"cap {residue_cap}", p - 1, residue_cap)
+    return PAdicSet(p, balls=[Ball(p, r, 1) for r in range(1, p)],
+                    points=[Fraction(p)])
+
+
+def power_set(p: int, exponent: int) -> PAdicSet:
+    """The single point p^exponent, exponent >= 1, checked before it is
+    formed."""
+    if exponent < 1:
+        raise PreconditionError("SINGLE_POWER needs an exponent >= 1")
+    check_prime_arg(p)
+    check_printable(1, p, exponent, f"{p}^{exponent}")
+    return PAdicSet(p, points=[Fraction(p) ** exponent])
 
 
 # ---------------------------------------------------------------------------

@@ -301,14 +301,14 @@ def _taylor_shift(coeffs: Sequence, c) -> list:
 def _split_at(g, a, ell):
     """Split a monic product g of distinct linear factors over F_ell, ell
     odd, by the quadratic character of Y + a: the parts hold the roots y
-    with y + a zero, a square, and a non-square.  Constant parts are
-    dropped."""
+    with y + a zero, a square, and a non-square.  A part without roots is
+    the constant 1, which _roots_mod drops."""
     ga = [c % ell for c in _taylor_shift(g, -a)]        # ga(Z) = g(Z - a)
     w = _x_power_mod(ga, (ell - 1) // 2, ell)
     parts = [_mod_poly_gcd(ga, [0, 1], ell),
              _mod_poly_gcd(ga, [(w[0] - 1) % ell] + w[1:], ell),
              _mod_poly_gcd(ga, [(w[0] + 1) % ell] + w[1:], ell)]
-    return [[c % ell for c in _taylor_shift(u, a)] for u in parts if len(u) > 1]
+    return [[c % ell for c in _taylor_shift(u, a)] for u in parts]
 
 
 def _roots_mod(f: Sequence[int], ell: int) -> list[int]:

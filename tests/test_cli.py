@@ -886,7 +886,26 @@ def test_search_degree_cap_is_reached_through_a_config_file(tmp_path, capsys):
     # every flag is read, also one the command then ignores
     (("superfluous", "--rep", '{"nonunitary": ["X"]}', "--poly", "X",
       "--alpha", "1.5"), "invalid int rational: '1.5'"),
+    # decimal digits are ASCII ones, although int() reads other scripts'
+    (("member", "--set", "full(2)", "--x", "\u0661\u0662"),
+     "invalid int rational: '\u0661\u0662'"),
+    (("closure", "--set", "pts(2; \u0663)"), "invalid int point: '\u0663'"),
 ])
 def test_a_malformed_number_is_one_error_line_naming_its_field(
         capsys, argv, line):
+    assert run(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
+_LONG = "x" * 20000
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("closure", "--set", f"pts(2; 1, {_LONG})"),
+     f"invalid int point: '{_LONG[:40]}'..."),
+    (("closure", "--set", f"blob{_LONG}"),
+     f"bad set component 'blob{_LONG[:36]}'..."),
+    (("adele-diff", "--intset", f"Z \\ {_LONG}"),
+     f"bad exclusion near '\\\\ {_LONG[:38]}'..."),
+], ids=["int", "set-component", "exclusion"])
+def test_a_long_malformed_field_is_echoed_cut_short(capsys, argv, line):
     assert run(capsys, *argv) == (1, "", f"error: {line}\n")

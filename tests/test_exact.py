@@ -192,6 +192,8 @@ def test_is_prime_past_the_twelve_base_bound():
 def test_prime_divisors():
     assert prime_divisors(720720) == (2, 3, 5, 7, 11, 13)
     assert prime_divisors(-(10 ** 9 + 7)) == (10 ** 9 + 7,)
+    # the scan bound itself is tried: 7 splits off, and 10007 is prime
+    assert prime_divisors(7 * 10007, Config(prime_scan_bound=7)) == (7, 10007)
     # two factors past the scan bound leave a cofactor it cannot split
     with pytest.raises(ResourceLimitError):
         prime_divisors(10007 * 10009)
