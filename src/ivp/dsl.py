@@ -130,7 +130,7 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> padic.PAdicSet:
             if len(rest) != 2:
                 raise ParseError("ball takes (p; center, depth)")
             depth = parse_int(rest[1], "ball depth")
-            check_printable(1, p, depth, f"ball modulus {p}^{depth}", ParseError)
+            check_printable(1, p, depth, "ball modulus ", ParseError)
             balls.append(padic.Ball(p, parse_rational(rest[0], "ball center"),
                                     depth))
         elif name == "pts":
@@ -139,14 +139,13 @@ def parse_set(text: str, config: Config = DEFAULT_CONFIG) -> padic.PAdicSet:
             if len(rest) != 4 or rest[3] not in ("+lim", "-lim"):
                 raise ParseError(
                     "seq takes (p; limit, scale, start, +lim|-lim)")
-            seq = padic.SeqWithLimit(
-                p, parse_rational(rest[0], "sequence limit"),
-                parse_rational(rest[1], "sequence scale"),
-                parse_int(rest[2], "sequence start"), rest[3] == "+lim")
-            check_printable(seq.scale, p, seq.start,
-                            f"sequence scale {seq.scale}*{p}^{seq.start}",
+            limit = parse_rational(rest[0], "sequence limit")
+            scale = parse_rational(rest[1], "sequence scale")
+            start = parse_int(rest[2], "sequence start")
+            check_printable(scale, p, start, f"sequence scale {scale}*",
                             ParseError)
-            seqs.append(seq)
+            seqs.append(padic.SeqWithLimit(p, limit, scale, start,
+                                           rest[3] == "+lim"))
         elif name in _PLAIN_SETS:
             if rest:
                 raise ParseError(f"{name} takes (p)")

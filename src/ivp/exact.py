@@ -152,13 +152,15 @@ def check_printable(factor: Rat, p: int, exponent: int, what: str,
                     error: type = PreconditionError) -> None:
     """Reject factor * p^exponent, before forming it, when its numerator
     would pass the interpreter's limit on printing integers: a set built
-    from it could be computed but never written out."""
+    from it could be computed but never written out.  The message names
+    the number as what, then p^exponent."""
     limit = sys.get_int_max_str_digits()
-    digits = (math.log10(abs(Fraction(factor).numerator))
+    # an int or a Fraction: zero is printable, and has one digit
+    digits = (math.log10(abs(factor.numerator) or 1)
               + max(exponent, 0) * math.log10(p))
     if limit and digits > limit:
-        raise error(f"{what} has about {digits:.0f} digits, over the "
-                    f"{limit}-digit limit on printing integers")
+        raise error(f"{what}{p}^{exponent} has about {digits:.0f} digits, "
+                    f"over the {limit}-digit limit on printing integers")
 
 
 def rational_mod(x: Rat, modulus: int) -> int:

@@ -125,7 +125,8 @@ class DefaultRule:
     def __post_init__(self):
         if self.kind is RuleKind.SINGLE_POWER:
             if self.exponent is None or self.exponent < 1:
-                raise PreconditionError("SINGLE_POWER needs an exponent >= 1")
+                raise PreconditionError(
+                    f"power needs an exponent >= 1, got {self.exponent}")
         elif self.exponent is not None:
             raise PreconditionError(f"{self.kind} takes no exponent")
         if (self.integer_set is None) == (self.kind is RuleKind.FROM_INTEGER_SET):

@@ -23,6 +23,7 @@ they describe, in ``overrings``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +32,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import PreconditionError, ResourceLimitError
 from .exact import (Rat, check_prime_arg, check_printable, power_exponent,
                     rational_mod, vp)
+
+# the most digits of p^head, the power canonicalize writes each ray with:
+# a bound of cost, as rays at p = 3 from start 10^4 pass the print limit
+_HEAD_DIGITS = 10 ** 6
 
 
 def _p_integral(x: Rat, p: int) -> bool:
@@ -50,6 +55,7 @@ class Ball:
         check_prime_arg(p)
         if depth < 0:
             raise PreconditionError(f"ball depth must be >= 0, got {depth}")
+        check_printable(1, p, depth, "ball modulus ")
         if not _p_integral(center, p):
             raise PreconditionError(f"ball center {center} is not p-integral")
         object.__setattr__(self, "p", p)
@@ -105,6 +111,9 @@ class SeqWithLimit:
         if sv + start < 0:
             raise PreconditionError(
                 f"sequence elements leave Z_p (vp(scale)={sv}, start={start})")
+        if (sv + start) * math.log10(p) > _HEAD_DIGITS:
+            raise PreconditionError(f"sequence power {p}^{sv + start} has "
+                                    f"over {_HEAD_DIGITS} digits")
         unit = scale
         if sv > 0:
             unit = Fraction(scale.numerator // p ** sv, scale.denominator)
@@ -228,9 +237,10 @@ def power_set(p: int, exponent: int) -> PAdicSet:
     """The single point p^exponent, exponent >= 1, checked before it is
     formed."""
     if exponent < 1:
-        raise PreconditionError("SINGLE_POWER needs an exponent >= 1")
+        raise PreconditionError(
+            f"power needs an exponent >= 1, got {exponent}")
     check_prime_arg(p)
-    check_printable(1, p, exponent, f"{p}^{exponent}")
+    check_printable(1, p, exponent, "")
     return PAdicSet(p, points=[Fraction(p) ** exponent])
 
 

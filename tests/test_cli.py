@@ -326,6 +326,20 @@ def test_power_tail_rules_are_refused_before_p_to_the_k_is_formed(
     assert "4300-digit limit" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("closure", "--set", "power(5; 0)"),
+     "power needs an exponent >= 1, got 0"),
+    (("localize", "--ring", '{"default": "power(0)"}', "--p", "2"),
+     "power needs an exponent >= 1, got 0"),
+    # the scale is checked for size before the sequence is built
+    (("closure", "--set", "seq(2; 0, 0, 0, +lim)"),
+     "sequence scale must be nonzero"),
+])
+def test_refused_components_name_the_value(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_extra_arguments_of_a_tail_rule_component_exit_1(capsys):
     for name, extra in (("full", "3"), ("empty", "1"), ("units+p", "2")):
         code, out, err = run(capsys, "closure", "--set", f"{name}(5; {extra})")

@@ -194,6 +194,17 @@ def test_ball_cover_needs_no_residue_scan():
     assert is_subset(full_set(2), PAdicSet(2, cover.balls + (Ball(2, 0, 60),)))
 
 
+def test_constructors_refuse_powers_past_their_bound():
+    # refused from the depth and the start alone: 3^(10^10) and 2^(10^10)
+    # are never formed
+    with pytest.raises(PreconditionError, match=r"ball modulus 3\^10000000000"
+                       r" has about \d+ digits, over the \d+-digit limit"):
+        Ball(3, 1, 10 ** 10)
+    with pytest.raises(PreconditionError, match=r"sequence power 2\^10000000000"
+                       r" has over 1000000 digits"):
+        SeqWithLimit(2, 0, 1, 10 ** 10)
+
+
 def test_cross_prime_comparison_rejected():
     with pytest.raises(PreconditionError):
         is_subset(full_set(2), full_set(3))
