@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import InvariantError, PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, charge
 from .exact import (Congruence, Rat, check_prime_arg, covers, crt_solve,
                     iter_primes, prime_divisors, rational_mod, vp)
 from .padic import Ball, PAdicSet, canonicalize, full_set
@@ -127,6 +127,7 @@ def closure_in_zp(e: IntegerSet, p: int,
     classes are capped by residue_cap, and so are the nodes of each
     covering check.
     """
+    check_prime_arg(p)
     if e.is_finite(config):
         return canonicalize(PAdicSet(
             p, points=[Fraction(n) for n in e.finite_elements(config)]))
@@ -135,9 +136,7 @@ def closure_in_zp(e: IntegerSet, p: int,
         return full_set(p)
     depth = _stable_depth(L, p)
     count = p ** depth
-    if count > config.residue_cap:
-        raise ResourceLimitError(
-            f"{count} residue classes at prime {p}", count, config.residue_cap)
+    charge(config, "residue_cap", count, f"residue classes at prime {p}")
     balls = [Ball(p, c, depth) for c in range(count)
              if not covers(c, count, e.excluded, config)]
     points = [Fraction(n) for n in e.extra]

@@ -99,8 +99,7 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
 _PLAIN_SETS = {
     "full": lambda p, config: padic.full_set(p),
     "empty": lambda p, config: padic.empty_set(p),
-    "units+p": lambda p, config: padic.units_and_self_set(p,
-                                                          config.residue_cap),
+    "units+p": padic.units_and_self_set,
 }
 _COMPONENT = re.compile(r"^\s*([a-z+]+)\s*\((.*)\)\s*$", re.DOTALL)
 

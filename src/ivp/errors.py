@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one check of a
+resource against its configured cap."""
 
 
 class IvpError(Exception):
@@ -12,8 +13,10 @@ class PreconditionError(IvpError, ValueError):
 class ResourceLimitError(IvpError):
     """An exact computation would exceed a configured enumeration cap.
 
-    Raised instead of returning a possibly-wrong answer.  The message
-    carries the cap that was hit and the size that was requested.
+    Raised by ``charge`` only, instead of returning a possibly-wrong
+    answer.  The message names the amount asked, the Config field that
+    caps it and the cap's value; ``requested`` and ``cap`` hold the two
+    numbers.
     """
 
     def __init__(self, message, requested=None, cap=None):
@@ -22,7 +25,19 @@ class ResourceLimitError(IvpError):
         self.cap = cap
 
 
+def charge(config, field: str, amount: int, what: str) -> None:
+    """Refuse `amount` of `what` when it passes the Config cap `field`.
+
+    Every cap admits an amount equal to it.  A passing call formats no
+    string, so hot loops may charge each step.
+    """
+    cap = getattr(config, field)
+    if amount > cap:
+        raise ResourceLimitError(
+            f"{amount} {what}, over the {field.replace('_', ' ')} "
+            f"({field} = {cap})", amount, cap)
+
+
 class InvariantError(IvpError):
     """An internal invariant failed: a bug, reported instead of a wrong
     answer."""
-

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError, charge
 
 Rat = Union[int, Fraction]
 
@@ -75,6 +75,8 @@ def check_prime_arg(p: int) -> None:
 
 def vp(x: Rat, p: int) -> Valuation:
     """p-adic valuation of a rational; vp(0) is INFINITY."""
+    if p < 2:
+        raise PreconditionError(f"expected a prime, got {p!r}")
     x = Fraction(x)
     if x == 0:
         return INFINITY
@@ -247,10 +249,7 @@ def covers(residue: int, modulus: int, classes: Sequence[Congruence],
         q = prime_divisors(live[0].modulus // math.gcd(m, live[0].modulus),
                            config)[0]
         nodes += q
-        if nodes > config.residue_cap:
-            raise ResourceLimitError(
-                f"covering check needs over {config.residue_cap} classes",
-                nodes, config.residue_cap)
+        charge(config, "residue_cap", nodes, "covering-check classes")
         stack.extend((r + m * t, m * q, live) for t in range(q))
     return True
 
@@ -313,9 +312,9 @@ def prime_divisors(n: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
                 n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        if d * d > n or is_prime(n):
-            out.append(n)
-        else:
-            raise ResourceLimitError(
-                f"cannot factor cofactor {n}", n, config.prime_scan_bound)
+        if d * d <= n and not is_prime(n):
+            # the scan stopped at the bound, short of the square root
+            charge(config, "prime_scan_bound", math.isqrt(n),
+                   f"as the trial division bound for cofactor {n}")
+        out.append(n)
     return tuple(out)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import InvariantError, PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, charge
 from .exact import INFINITY, Rat, Valuation, is_finite, rational_mod, vp
 from .padic import PAdicSet, closure, member, some_elements
 from .polys import IrreduciblePoly, RatPoly, max_valuation
@@ -194,8 +194,7 @@ def separating_polynomial(e: PAdicSet, alpha: Rat,
 
     factors: list[Fraction] = []
     product = RatPoly([1])
-    result = None
-    for _ in range(config.search_degree_cap):
+    while True:
         w, attain = _min_valuation(factors, f_closed)
         at_alpha = _sum_val(factors, alpha, p)
         if not is_finite(at_alpha):
@@ -205,12 +204,10 @@ def separating_polynomial(e: PAdicSet, alpha: Rat,
             break
         if attain is None:
             raise InvariantError("minimum valuation not attained")
+        charge(config, "search_degree_cap", len(factors) + 1,
+               "linear factors in a separator")
         factors.append(attain)
         product = product * RatPoly.from_fractions([-attain, 1])
-    if result is None:
-        raise ResourceLimitError(
-            "separator search exceeded the degree cap",
-            config.search_degree_cap, config.search_degree_cap)
 
     if not is_integer_valued(result, f_closed):
         raise InvariantError("separator failed validation on the set")

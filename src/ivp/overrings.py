@@ -27,7 +27,7 @@ from typing import Optional
 
 from .adelic import IntegerSet, closure_in_zp
 from .config import DEFAULT_CONFIG, Config
-from .errors import InvariantError, PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, charge
 from .exact import (Congruence, Rat, check_prime_arg, is_finite, is_prime,
                     iter_primes, perfect_power, prime_divisors)
 from .membership import is_integer_valued, witness_from_valuations, WitnessRationalFunction
@@ -163,10 +163,8 @@ def instantiate(rule: DefaultRule, p: int,
     if rule.kind is RuleKind.SINGLE_POWER:
         return power_set(p, rule.exponent)
     if rule.kind is RuleKind.UNITS_AND_SELF:
-        return units_and_self_set(p, config.residue_cap)
+        return units_and_self_set(p, config)
     if rule.kind is RuleKind.FROM_INTEGER_SET:
-        # the plain rules' sets check p themselves; the closure does not
-        check_prime_arg(p)
         return closure_in_zp(rule.integer_set, p, config)
     raise PreconditionError(f"unknown rule {rule.kind}")
 
@@ -815,9 +813,7 @@ def _crt_integer_set(r: RingSpec, config: Config) -> IntegerSet:
         s = r.local_set(p, config)
         depth = max(b.depth for b in s.balls)
         modulus = p ** depth
-        if modulus > config.residue_cap:
-            raise ResourceLimitError(
-                f"residue enumeration at {p}", modulus, config.residue_cap)
+        charge(config, "residue_cap", modulus, f"residue classes at prime {p}")
         held = {c for b in s.balls for c in range(b.center, modulus, p ** b.depth)}
         excluded.extend(Congruence(c, modulus) for c in range(modulus)
                         if c not in held)

@@ -13,7 +13,9 @@ isolated point.  Canonical forms are unique for sets presented in the
 algebra, so structural equality of canonical forms is set equality.
 
 The set algebra takes no ``Config``: Z_p is ultrametric, so balls are
-nested or disjoint, and no question here needs a capped search.
+nested or disjoint, and no question here needs a capped search.  Only
+``units_and_self_set`` takes one, as it builds p - 1 unit balls and
+charges them against ``residue_cap`` first.
 
 This module holds the set algebra and the sets of the plain tail rules
 (full, empty, units+p, power(k)) at one prime.  The rules themselves,
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import PreconditionError, ResourceLimitError
+from .config import DEFAULT_CONFIG, Config
+from .errors import PreconditionError, charge
 from .exact import (Rat, check_prime_arg, check_printable, power_exponent,
                     rational_mod, vp)
 
@@ -221,14 +224,11 @@ def point_set(p: int, *points: Rat) -> PAdicSet:
     return PAdicSet(p, points=[Fraction(x) for x in points])
 
 
-def units_and_self_set(p: int, residue_cap: int) -> PAdicSet:
+def units_and_self_set(p: int, config: Config = DEFAULT_CONFIG) -> PAdicSet:
     """p itself plus every unit: {p} with the p - 1 unit cosets mod p,
     refused before they are built when p - 1 passes residue_cap."""
     check_prime_arg(p)
-    if p - 1 > residue_cap:
-        raise ResourceLimitError(
-            f"units+p({p}) needs {p - 1} unit balls, over the residue "
-            f"cap {residue_cap}", p - 1, residue_cap)
+    charge(config, "residue_cap", p - 1, f"unit balls for units+p({p})")
     return PAdicSet(p, balls=[Ball(p, r, 1) for r in range(1, p)],
                     points=[Fraction(p)])
 
@@ -321,8 +321,6 @@ def _last_index_in_balls(seq: SeqWithLimit, balls: Sequence[Ball]) -> int:
     """
     bound = seq.start - 1
     for b in balls:
-        if b.contains(seq.limit):
-            raise PreconditionError("sequence limit lies inside a ball")
         bound = max(bound, vp(seq.limit - b.center, seq.p) - seq.valuation)
     return bound
 
@@ -454,7 +452,6 @@ class IsolatedTail:
 class IsolatedPoints:
     """The isolated locus: finitely many explicit points plus whole tails."""
 
-    parent: PAdicSet
     explicit: tuple[Fraction, ...]
     tails: tuple[IsolatedTail, ...]
 
@@ -494,7 +491,7 @@ def isolated_points(s: PAdicSet) -> IsolatedPoints:
                 explicit.append(e)
         tails.append(IsolatedTail(q, bound + 1))
     # distinct sequences can share individual elements; report each once
-    return IsolatedPoints(s, tuple(sorted(set(explicit))), tuple(tails))
+    return IsolatedPoints(tuple(sorted(set(explicit))), tuple(tails))
 
 
 def remove_isolated_point(s: PAdicSet, alpha: Rat) -> PAdicSet:

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import InvariantError, PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, charge
 from .exact import INFINITY, Rat, Valuation, is_finite, iter_primes, vp
 from .padic import Ball, PAdicSet, canonicalize, member
 
@@ -80,11 +80,6 @@ class RatPoly:
 
     def fraction_coeffs(self) -> list[Fraction]:
         return [Fraction(c, self.denominator) for c in self.coeffs]
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return Fraction(self.coeffs[i], self.denominator)
-        return Fraction(0)
 
     def eval_at(self, x: Rat) -> Fraction:
         return Fraction(_horner(self.coeffs, Fraction(x)), self.denominator)
@@ -451,7 +446,8 @@ def _primitive_part(poly: RatPoly, config: Config) -> tuple[int, ...]:
         raise PreconditionError("expected a nonconstant polynomial")
     if poly.degree > config.degree_cap:
         raise PreconditionError(
-            f"degree {poly.degree} exceeds cap {config.degree_cap}")
+            f"degree {poly.degree} exceeds the degree cap "
+            f"(degree_cap = {config.degree_cap})")
     coeffs = list(poly.coeffs)          # content already stripped vs denominator
     content = 0
     for c in coeffs:
@@ -533,10 +529,7 @@ def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
     while stack:
         r, m = stack.pop()
         visited += 1
-        if visited > config.residue_cap:
-            raise ResourceLimitError(
-                f"root scan visited over {config.residue_cap} classes",
-                visited, config.residue_cap)
+        charge(config, "residue_cap", visited, "root-scan classes")
         t = vp(q.eval_int(r), p)
         s = vp(_horner(dq, r), p)
         if s < m and t >= m + s:
@@ -546,9 +539,8 @@ def _tree_events(q: IrreduciblePoly, ball: Ball, config: Config):
             # no squarefree q gets here: every class ends within
             # 2*vp(Res(q, q'), p) + 8 levels of the ball, and B bounds
             # vp(Res); the check only keeps a broken bound from looping
-            raise ResourceLimitError(
-                f"root scan exceeded depth {depth_cap} at class {r} mod {p}^{m}",
-                m, depth_cap)
+            raise InvariantError(
+                f"root scan passed depth {depth_cap} at class {r} mod {p}^{m}")
         # h_i = p^(m*i) * c_i with c_i the Taylor coefficients of q at r
         taylor = _taylor_shift(q.coeffs, r)
         vals = [vp(c, p) + m * i for i, c in enumerate(taylor)]

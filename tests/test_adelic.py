@@ -140,6 +140,13 @@ def test_closure_is_all_of_zp_at_a_prime_outside_the_modulus(e, p):
         assert closure_in_zp(e, p) == full_set(p)
 
 
+@pytest.mark.parametrize("p", [4, 1])
+def test_closure_refuses_a_composite_before_any_covering_check(p):
+    e = IntegerSet.without_classes(Congruence(1, 4))
+    with pytest.raises(PreconditionError, match=f"expected a prime, got {p}"):
+        closure_in_zp(e, p)
+
+
 def test_closure_sees_genuine_exclusion():
     # excluding 1 mod 4 leaves a visible 2-adic hole
     e = IntegerSet.without_classes(Congruence(1, 4))
@@ -339,6 +346,7 @@ def test_finiteness_checks_obey_the_callers_residue_cap():
     for check in (lambda: adelic_closure_member(e, x, tight),
                   lambda: e.is_finite(tight), lambda: e.is_empty(tight),
                   lambda: product_closure_member(e, x, tight)):
-        with pytest.raises(ResourceLimitError,
-                           match="covering check needs over 2 classes"):
+        with pytest.raises(ResourceLimitError, match=(
+                r"^3 covering-check classes, over the residue cap "
+                r"\(residue_cap = 2\)$")):
             check()

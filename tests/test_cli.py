@@ -590,6 +590,7 @@ def test_no_unused_imports_in_the_library():
 def test_every_config_parameter_is_read():
     # a function that takes config reads one of its caps or hands it on,
     # and every Config field is read as config.<field> outside config.py
+    # or named in a charge(config, "<field>", ...) call
     def is_config(node):
         return isinstance(node, ast.Name) and node.id == "config"
 
@@ -599,6 +600,10 @@ def test_every_config_parameter_is_read():
             if (isinstance(node, ast.Attribute) and is_config(node.value)
                     and path.name != "config.py"):
                 fields_read.add(node.attr)
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "charge"
+                    and isinstance(node.args[1], ast.Constant)):
+                fields_read.add(node.args[1].value)
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
@@ -773,7 +778,8 @@ def test_residue_cap_bounds_the_finiteness_check(capsys):
     assert code == 0 and out == "yes\n"
     code, out, err = run(capsys, *argv, "--residue-cap", "2")
     assert code == 1 and out == ""
-    assert err == "error: covering check needs over 2 classes\n"
+    assert err == ("error: 3 covering-check classes, over the residue cap "
+                   "(residue_cap = 2)\n")
 
 
 @pytest.mark.parametrize("argv, code, first_line", [
@@ -853,11 +859,20 @@ def test_a_prime_or_key_given_twice_is_one_error_line(capsys, argv, named):
     (("witness", "--poly", "X^2 + 1", "--family", "2: full(3)"),
      "set at key 2 lives at prime 3"),
     (("globalize", "--family", "2: full(3)"), "set at key 2 lives at prime 3"),
+    # every resource refusal names the amount, the Config field and its cap
     (("--residue-cap", "2", "roots", "--poly", "X^2 - 17", "--set", "full(2)"),
-     "root scan visited over 2 classes"),
+     "3 root-scan classes, over the residue cap (residue_cap = 2)"),
     (("--residue-cap", "4", "simple",
       "--ring", '{"exceptional": {"2": "ball(2; 1, 3)"}}'),
-     "residue enumeration at 2"),
+     "8 residue classes at prime 2, over the residue cap (residue_cap = 4)"),
+    (("--residue-cap", "2", "adele-diff", "--intset", r"Z \ (1 mod 8)"),
+     "16 residue classes at prime 2, over the residue cap (residue_cap = 2)"),
+    (("--residue-cap", "5", "member", "--set", "units+p(7)", "--x", "5"),
+     "6 unit balls for units+p(7), over the residue cap (residue_cap = 5)"),
+    # 143 = 11 * 13: trial division would have to reach isqrt(143) = 11
+    (("--prime-scan-bound", "7", "adele-diff", "--intset", r"Z \ (1 mod 143)"),
+     "11 as the trial division bound for cofactor 143, over the prime scan"
+     " bound (prime_scan_bound = 7)"),
 ])
 def test_refusals_are_one_named_error_line(capsys, argv, line):
     assert run(capsys, *argv) == (1, "", f"error: {line}\n")
@@ -873,11 +888,16 @@ def test_a_window_set_equal_to_the_units_and_self_tail_drops_out(capsys):
 
 
 def test_search_degree_cap_is_reached_through_a_config_file(tmp_path, capsys):
+    # the separator has degree 3: a cap of 3 admits it, a cap of 2 does not
     path = tmp_path / "limits.cfg"
+    argv = ("--config", str(path), "separate",
+            "--set", "seq(2; 0, 1, 0, -lim) | pts(2; 0)", "--alpha", "3")
+    path.write_text("search_degree_cap = 3\n")
+    assert run(capsys, *argv) == (0, "(X^3 - 7*X^2 + 14*X - 8)/4\n", "")
     path.write_text("search_degree_cap = 2\n")
-    got = run(capsys, "--config", str(path), "separate",
-              "--set", "seq(2; 0, 1, 0, -lim) | pts(2; 0)", "--alpha", "3")
-    assert got == (1, "", "error: separator search exceeded the degree cap\n")
+    assert run(capsys, *argv) == (
+        1, "", "error: 3 linear factors in a separator, over the search degree"
+               " cap (search_degree_cap = 2)\n")
 
 
 @pytest.mark.parametrize("argv, line", [

@@ -95,6 +95,13 @@ def test_vp_zero_is_infinite():
     assert INFINITY > 10**9
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_vp_refuses_a_base_below_two(p):
+    # at p = 1 the division ladder would square the rung 1 forever
+    with pytest.raises(PreconditionError, match=f"expected a prime, got {p}"):
+        vp(4, p)
+
+
 def test_vp_of_fractions():
     assert vp(Fraction(8, 3), 2) == 3
     assert vp(Fraction(3, 8), 2) == -3

@@ -279,6 +279,17 @@ def test_quartics_reducible_at_every_prime_have_no_witness(coeffs):
     assert not any(rabin_irreducible(coeffs, ell) for ell in primes_below(200))
 
 
+def test_the_degree_cap_bounds_certified_and_asserted_polynomials():
+    # X^65 - 2 is Eisenstein at 2; the reader refuses its text first, so
+    # only a RatPoly built in code reaches these checks
+    poly = RatPoly([-2] + [0] * 64 + [1])
+    for build in (IrreduciblePoly.certify, IrreduciblePoly.assert_irreducible):
+        with pytest.raises(PreconditionError, match=(
+                r"^degree 65 exceeds the degree cap \(degree_cap = 64\)$")):
+            build(poly)
+        assert build(poly, Config(degree_cap=65)).degree == 65
+
+
 def test_certify_refuses_a_product_of_quadratics():
     with pytest.raises(PreconditionError, match="no irreducibility witness"):
         irr(2, 0, 3, 0, 1)                        # (X^2 + 1)(X^2 + 2)
