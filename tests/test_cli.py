@@ -859,12 +859,17 @@ def test_a_prime_or_key_given_twice_is_one_error_line(capsys, argv, named):
     (("witness", "--poly", "X^2 + 1", "--family", "2: full(3)"),
      "set at key 2 lives at prime 3"),
     (("globalize", "--family", "2: full(3)"), "set at key 2 lives at prime 3"),
-    # every resource refusal names the amount, the Config field and its cap
-    (("--residue-cap", "2", "roots", "--poly", "X^2 - 17", "--set", "full(2)"),
-     "3 root-scan classes, over the residue cap (residue_cap = 2)"),
-    (("--residue-cap", "4", "simple",
-      "--ring", '{"exceptional": {"2": "ball(2; 1, 3)"}}'),
-     "8 residue classes at prime 2, over the residue cap (residue_cap = 4)"),
+    # every resource refusal names the amount, the Config field and its cap;
+    # these two cases keep the ids they had under their earlier wording
+    pytest.param(
+        ("--residue-cap", "2", "roots", "--poly", "X^2 - 17", "--set", "full(2)"),
+        "3 root-scan classes, over the residue cap (residue_cap = 2)",
+        id="argv2-root scan visited over 2 classes"),
+    pytest.param(
+        ("--residue-cap", "4", "simple",
+         "--ring", '{"exceptional": {"2": "ball(2; 1, 3)"}}'),
+        "8 residue classes at prime 2, over the residue cap (residue_cap = 4)",
+        id="argv3-residue enumeration at 2"),
     (("--residue-cap", "2", "adele-diff", "--intset", r"Z \ (1 mod 8)"),
      "16 residue classes at prime 2, over the residue cap (residue_cap = 2)"),
     (("--residue-cap", "5", "member", "--set", "units+p(7)", "--x", "5"),
