@@ -259,11 +259,20 @@ def _cmd_selftest(args):
 # parser assembly
 # ---------------------------------------------------------------------------
 
+_CAP_FLAGS = ("residue_cap", "degree_cap", "prime_scan_bound")
+
+
+def _print_error(message: str) -> None:
+    """An `error:` line cut past 1000 characters: refusals quote any field."""
+    cut = message[:1000]
+    print(f"error: {cut}{'...' if cut != message else ''}", file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     # exit 1 on usage errors; 2 is reserved for honest unknowns
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        _print_error(message)
         raise SystemExit(1)
 
 
@@ -284,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", dest="config_path", metavar="PATH",
                         default=argparse.SUPPRESS,
                         help="key=value file overriding resource limits")
-    for flag in ("--residue-cap", "--degree-cap", "--prime-scan-bound"):
-        common.add_argument(flag, type=_int_flag, default=argparse.SUPPRESS)
+    for field in _CAP_FLAGS:
+        common.add_argument("--" + field.replace("_", "-"), type=_int_flag,
+                            default=argparse.SUPPRESS)
 
     parser = _Parser(
         prog="ivp",
@@ -370,17 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_config(args) -> config.Config:
     base = (config.load_config_file(args.config_path) if args.config_path
             else config.DEFAULT_CONFIG)
-    overrides = {key: getattr(args, key)
-                 for key in ("residue_cap", "degree_cap", "prime_scan_bound")
-                 if getattr(args, key) is not None}
-    return replace(base, **overrides)
+    return replace(base, **{key: value for key, value in vars(args).items()
+                            if key in _CAP_FLAGS})
 
 
 def main(argv=None) -> int:
-    # the common flags use SUPPRESS defaults so that a value given before
-    # the subcommand survives the subparser pass; absent flags keep these
-    defaults = argparse.Namespace(json=False, config_path=None, residue_cap=None,
-                                  degree_cap=None, prime_scan_bound=None)
+    # the common flags default to SUPPRESS, so that a value given before the
+    # subcommand survives the subparser pass; absent flags keep these
+    defaults = argparse.Namespace(json=False, config_path=None)
     args = build_parser().parse_args(argv, namespace=defaults)
     try:
         args.config = _build_config(args)
@@ -390,7 +397,7 @@ def main(argv=None) -> int:
         code, payload, lines = args.handler(args)
     except (errors.IvpError, ValueError, OSError, MemoryError,
             RecursionError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        _print_error(str(exc) or type(exc).__name__)
         return 1
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))

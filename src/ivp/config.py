@@ -19,7 +19,7 @@ class Config:
     residue_cap: int = 2 ** 20
     # largest polynomial degree accepted by constructors
     degree_cap: int = 64
-    # primes below this bound are scanned in tail analyses and witness searches
+    # primes up to this bound are scanned in tail analyses and witness searches
     prime_scan_bound: int = 10_000
     # bounded search size for separating polynomials
     search_degree_cap: int = 256

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import adelic, overrings, padic, polys
 from .config import DEFAULT_CONFIG, Config
-from .errors import PreconditionError
+from .errors import PreconditionError, charge
 from .exact import Congruence, check_printable
 
 __all__ = [
@@ -170,15 +170,14 @@ def parse_poly(text: str, config: Config = DEFAULT_CONFIG) -> polys.RatPoly:
 
     Python's own parser builds the tree ("^" is read as "**"); the walk
     accepts decimal integers, X or x, unary + and -, +, -, *, division by
-    a nonzero constant and powers with a literal exponent.  It rejects any
-    product or power whose degree would exceed config.degree_cap before
+    a nonzero constant and powers with a literal exponent.  It charges
+    the degree of every product and power to config.degree_cap before
     computing it.
     """
     _check_digits(text, "polynomial literal")
     source = text.replace("^", "**").strip()
     try:
-        return _poly_of(ast.parse(source, mode="eval").body, source,
-                        config.degree_cap)
+        return _poly_of(ast.parse(source, mode="eval").body, source, config)
     except SyntaxError as exc:
         raise ParseError(f"bad polynomial {_echo(text)}: {exc.msg}") from None
     except RecursionError:
@@ -194,37 +193,32 @@ def _literal(node, source: str) -> int | None:
     return None
 
 
-def _check_degree(degree: int, cap: int) -> None:
-    if degree > cap:
-        raise ParseError(f"degree {degree} exceeds cap {cap}")
-
-
-def _poly_of(node, source: str, cap: int) -> polys.RatPoly:
+def _poly_of(node, source: str, config: Config) -> polys.RatPoly:
     if isinstance(node, ast.Name) and node.id in ("X", "x"):
         return polys.RatPoly.x()
     value = _literal(node, source)
     if value is not None:
         return polys.RatPoly.constant(value)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        f = _poly_of(node.operand, source, cap)
+        f = _poly_of(node.operand, source, config)
         return -f if isinstance(node.op, ast.USub) else f
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         exponent = _literal(node.right, source)
         if exponent is None:
             raise ParseError("exponent must be a literal integer")
-        base = _poly_of(node.left, source, cap)
-        _check_degree(base.degree * exponent, cap)
+        base = _poly_of(node.left, source, config)
+        charge(config, "degree_cap", base.degree * exponent, "as a degree")
         return base ** exponent
     if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
-        left = _poly_of(node.left, source, cap)
-        right = _poly_of(node.right, source, cap)
+        left = _poly_of(node.left, source, config)
+        right = _poly_of(node.right, source, config)
         if isinstance(node.op, ast.Add):
             return left + right
         if isinstance(node.op, ast.Sub):
             return left - right
         if isinstance(node.op, ast.Mult):
-            _check_degree(left.degree + right.degree, cap)
+            charge(config, "degree_cap", left.degree + right.degree, "as a degree")
             return left * right
         if right.degree != 0:
             raise ParseError("division only by nonzero constants")

@@ -11,7 +11,7 @@ class PreconditionError(IvpError, ValueError):
 
 
 class ResourceLimitError(IvpError):
-    """An exact computation would exceed a configured enumeration cap.
+    """An exact computation would exceed a configured cap.
 
     Raised by ``charge`` only, instead of returning a possibly-wrong
     answer.  The message names the amount asked, the Config field that
@@ -29,12 +29,15 @@ def charge(config, field: str, amount: int, what: str) -> None:
     """Refuse `amount` of `what` when it passes the Config cap `field`.
 
     Every cap admits an amount equal to it.  A passing call formats no
-    string, so hot loops may charge each step.
+    string, so hot loops may charge each step.  An amount of over 2000 bits
+    may pass the printing limit on integers and is written by its bit length.
     """
     cap = getattr(config, field)
     if amount > cap:
+        bits = amount.bit_length()
+        shown = f"a {bits}-bit number" if bits > 2000 else amount
         raise ResourceLimitError(
-            f"{amount} {what}, over the {field.replace('_', ' ')} "
+            f"{shown} {what}, over the {field.replace('_', ' ')} "
             f"({field} = {cap})", amount, cap)
 
 

@@ -288,10 +288,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def iter_primes(stop: Optional[int] = None) -> Iterator[int]:
-    """The primes 2, 3, 5, ... in ascending order, below stop if given."""
+def iter_primes(bound: Optional[int] = None) -> Iterator[int]:
+    """The primes 2, 3, 5, ... in ascending order, up to bound if given."""
     n = 2
-    while stop is None or n < stop:
+    while bound is None or n <= bound:
         if is_prime(n):
             yield n
         n += 1 if n == 2 else 2

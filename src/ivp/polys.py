@@ -351,7 +351,7 @@ class IrreduciblePoly:
 
         Degree 1 is immediate; degrees 2 and 3 reduce to the rational root
         test, decided exactly by _has_rational_root.  Higher degrees take
-        as witness the least prime below config.prime_scan_bound that does
+        as witness the least prime up to config.prime_scan_bound that does
         not divide the leading coefficient and modulo which the reduction
         is irreducible, by _irreducible_mod.
         """
@@ -367,7 +367,8 @@ class IrreduciblePoly:
             if coeffs[-1] % ell and _irreducible_mod(coeffs, ell):
                 return cls(coeffs, CertificateKind.MOD_P_WITNESS, ell)
         raise PreconditionError(
-            f"no irreducibility witness below {config.prime_scan_bound} for {poly}; "
+            f"no irreducibility witness up to the prime scan bound "
+            f"(prime_scan_bound = {config.prime_scan_bound}) for {poly}; "
             "use assert_irreducible if irreducibility is known")
 
     @classmethod
@@ -444,14 +445,9 @@ class IrreduciblePoly:
 def _primitive_part(poly: RatPoly, config: Config) -> tuple[int, ...]:
     if poly.is_zero() or poly.degree < 1:
         raise PreconditionError("expected a nonconstant polynomial")
-    if poly.degree > config.degree_cap:
-        raise PreconditionError(
-            f"degree {poly.degree} exceeds the degree cap "
-            f"(degree_cap = {config.degree_cap})")
-    coeffs = list(poly.coeffs)          # content already stripped vs denominator
-    content = 0
-    for c in coeffs:
-        content = math.gcd(content, c)
+    charge(config, "degree_cap", poly.degree, "as a degree")
+    coeffs = poly.coeffs                # content already stripped vs denominator
+    content = math.gcd(*coeffs)
     coeffs = [c // content for c in coeffs]
     if coeffs[-1] < 0:
         coeffs = [-c for c in coeffs]

@@ -271,7 +271,8 @@ def test_parse_errors_exit_1(capsys):
     # the degree cap applies while the text is read, before any expansion
     code, out, err = run(capsys, "intval", "--poly", "(X+1)^3000/2",
                          "--set", "full(2)")
-    assert code == 1 and out == "" and err == "error: degree 3000 exceeds cap 64\n"
+    assert code == 1 and out == "" and err == (
+        "error: 3000 as a degree, over the degree cap (degree_cap = 64)\n")
     code, out, _ = run(capsys, "--degree-cap", "100", "intval",
                        "--poly", "(X+1)^100/2", "--set", "full(2)")
     assert code == 0 and out.strip() == "no"
@@ -346,10 +347,50 @@ def test_extra_arguments_of_a_tail_rule_component_exit_1(capsys):
         assert code == 1 and out == "" and err == f"error: {name} takes (p)\n"
 
 
+NINES = "9" * 4300      # the longest integer the readers accept
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("member", "--set", f"ball(2; 0, -{NINES})", "--x", "1"),
+     "ball depth must be >= 0, got -999"),
+    (("member", "--set", f"seq(2; 0, 1, -{NINES}, +lim)", "--x", "1"),
+     "sequence elements leave Z_p"),
+    (("member", "--set", f"power(2; -{NINES})", "--x", "1"),
+     "power needs an exponent >= 1, got -999"),
+    (("member", "--set", f"ball({NINES}; 0, 1)", "--x", "1"),
+     "expected a prime, got 999"),
+    (("x" * 20000,), "argument command: invalid choice: 'xxx"),
+    (("member", "--set", "full(2)", "--x", "1", "--bogus", "x" * 20000),
+     "unrecognized arguments: --bogus xxx"),
+])
+def test_every_error_line_is_bounded(capsys, argv, words):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error: ")]
+    assert code == 1 and captured.out == "" and len(errors) == 1
+    assert errors[0].startswith(f"error: {words}")
+    # the message is cut at 1000 characters
+    assert errors[0].endswith("...") and len(errors[0]) == 7 + 1000 + 3
+
+
+def test_a_degree_past_the_printing_limit_is_refused_by_its_cap(capsys):
+    # 2 * (10^4300 - 1) has 4301 digits: the refusal writes its bit length
+    code, out, err = run(capsys, "intval", "--poly", f"(X^2)^{NINES}",
+                         "--set", "full(2)")
+    assert (code, out, err) == (1, "", "error: a 14286-bit number as a degree, "
+                                "over the degree cap (degree_cap = 64)\n")
+
+
 def test_polynomial_reducible_at_every_prime_has_no_certificate(capsys):
     code, out, err = run(capsys, "roots", "--poly", "X^4 + 1", "--set", "full(2)")
     assert code == 1 and out == "" and err.count("\n") == 1
-    assert err.startswith("error: no irreducibility witness below 10000 for X^4 + 1")
+    assert err.startswith("error: no irreducibility witness up to the prime scan "
+                          "bound (prime_scan_bound = 10000) for X^4 + 1")
+    assert "assert_irreducible" in err
 
 
 @pytest.mark.parametrize("caps", [(), ("--residue-cap", "1000")])
@@ -589,21 +630,19 @@ def test_no_unused_imports_in_the_library():
 
 def test_every_config_parameter_is_read():
     # a function that takes config reads one of its caps or hands it on,
-    # and every Config field is read as config.<field> outside config.py
-    # or named in a charge(config, "<field>", ...) call
+    # and every Config field is decided by a charge(config, "<field>", ...)
+    # call, so each cap is checked and worded one way
     def is_config(node):
         return isinstance(node, ast.Name) and node.id == "config"
 
-    unread, fields_read = [], set()
+    unread, charged = [], set()
     for path in Path(ivp.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and is_config(node.value)
-                    and path.name != "config.py"):
-                fields_read.add(node.attr)
             if (isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "charge"
+                    and is_config(node.args[0])
                     and isinstance(node.args[1], ast.Constant)):
-                fields_read.add(node.args[1].value)
+                charged.add(node.args[1].value)
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
@@ -616,7 +655,7 @@ def test_every_config_parameter_is_read():
                        for n in ast.walk(node)):
                 unread.append(f"{path.name}:{node.name}")
     assert not unread
-    assert set(Config.__dataclass_fields__) <= fields_read
+    assert set(Config.__dataclass_fields__) <= charged
 
 
 def test_cli_imports_only_the_standard_library():

@@ -28,7 +28,7 @@ from ivp.dsl import (
     parse_set,
 )
 from ivp.config import Config
-from ivp.errors import PreconditionError
+from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import Congruence
 from ivp.overrings import (
     EMPTY_RULE,
@@ -217,21 +217,24 @@ def test_parse_poly_frozen():
 
 def test_parse_poly_errors():
     for bad in ("X/X", "1/0", "X^y", "X + ", "(X", "X ~ 2", "X) (",
-                "1_000", "0x10", "True", "1.5", "X^-1", "X^(1+1)", "X // 2",
-                "(X+1)^3000", "(X^64)^64", "X^64 * X"):
+                "1_000", "0x10", "True", "1.5", "X^-1", "X^(1+1)", "X // 2"):
         with pytest.raises(ParseError):
             parse_poly(bad)
 
 
 def test_parse_poly_degree_cap_comes_from_the_config():
     assert parse_poly("(X^8)^8").degree == 64
-    with pytest.raises(ParseError, match="exceeds cap 64"):
-        parse_poly("X^65")
+    for text, degree in (("X^65", 65), ("(X+1)^3000", 3000),
+                         ("(X^64)^64", 4096), ("X^64 * X", 65)):
+        with pytest.raises(ResourceLimitError, match=(
+                rf"^{degree} as a degree, over the degree cap "
+                r"\(degree_cap = 64\)$")):
+            parse_poly(text)
     tight = Config(degree_cap=4)
     assert parse_poly("(X^2 + 1)^2", tight).degree == 4
-    with pytest.raises(ParseError, match="exceeds cap 4"):
+    with pytest.raises(ResourceLimitError, match=r"\(degree_cap = 4\)$"):
         parse_poly("(X^2 + 1)*(X^3 + 1)", tight)
-    with pytest.raises(ParseError):
+    with pytest.raises(ResourceLimitError, match="degree_cap"):
         parse_irreducible("X^5 + X + 3", tight)
 
 

@@ -31,7 +31,7 @@ from oracles import (
 
 import ivp.polys as polys
 from ivp.config import DEFAULT_CONFIG, Config
-from ivp.errors import PreconditionError
+from ivp.errors import PreconditionError, ResourceLimitError
 from ivp.exact import INFINITY, is_finite, is_prime, vp
 from ivp.padic import (Ball, PAdicSet, SeqWithLimit, canonicalize, closure,
                        full_set, member, point_set)
@@ -269,12 +269,23 @@ def test_certify_witness_skips_primes_dividing_the_leading_coefficient():
     assert irr(-10, 0, 0, 0, 1).witness_prime == 17
 
 
+def test_certify_scans_primes_up_to_and_including_the_bound():
+    # as prime_divisors does: a bound equal to the witness admits it
+    quartic = RatPoly([-10, 0, 0, 0, 1])
+    assert IrreduciblePoly.certify(
+        quartic, Config(prime_scan_bound=17)).witness_prime == 17
+    with pytest.raises(PreconditionError, match=r"\(prime_scan_bound = 16\)"):
+        IrreduciblePoly.certify(quartic, Config(prime_scan_bound=16))
+
+
 @pytest.mark.parametrize("coeffs", [(1, 0, 0, 0, 1),          # X^4 + 1
                                     (1, 0, -10, 0, 1)])       # X^4 - 10X^2 + 1
 def test_quartics_reducible_at_every_prime_have_no_witness(coeffs):
     # each is irreducible over Q with Galois group (Z/2)^2, which holds
     # no 4-cycle, so it splits mod every prime
-    with pytest.raises(PreconditionError, match="no irreducibility witness below 200"):
+    with pytest.raises(PreconditionError, match=(
+            r"^no irreducibility witness up to the prime scan bound "
+            r"\(prime_scan_bound = 200\)")):
         IrreduciblePoly.certify(RatPoly(coeffs), Config(prime_scan_bound=200))
     assert not any(rabin_irreducible(coeffs, ell) for ell in primes_below(200))
 
@@ -284,8 +295,8 @@ def test_the_degree_cap_bounds_certified_and_asserted_polynomials():
     # only a RatPoly built in code reaches these checks
     poly = RatPoly([-2] + [0] * 64 + [1])
     for build in (IrreduciblePoly.certify, IrreduciblePoly.assert_irreducible):
-        with pytest.raises(PreconditionError, match=(
-                r"^degree 65 exceeds the degree cap \(degree_cap = 64\)$")):
+        with pytest.raises(ResourceLimitError, match=(
+                r"^65 as a degree, over the degree cap \(degree_cap = 64\)$")):
             build(poly)
         assert build(poly, Config(degree_cap=65)).degree == 65
 
