@@ -208,6 +208,11 @@ def _poly_of(node, source: str, config: Config) -> polys.RatPoly:
             raise ParseError("exponent must be a literal integer")
         base = _poly_of(node.left, source, config)
         charge(config, "degree_cap", base.degree * exponent, "as a degree")
+        if base.degree == 0:
+            # the degree charge sees 0: hold the constant's height instead
+            c = base.eval_at(0)
+            check_printable(1, max(abs(c.numerator), c.denominator), exponent,
+                            "height of the constant power ", ParseError)
         return base ** exponent
     if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):

@@ -1,18 +1,23 @@
 """Integer-valued polynomials on representable p-adic sets.
 
-Integer-valuedness is decided by one Polya bound per component of the
+Integer-valuedness is decided by one Bhargava bound per component of the
 set.  With f = g/d and m = vp(d), f is integral at x iff g(x) = 0 mod p^m,
 and that only depends on x mod p^m, so every test point is evaluated in
-Z/p^m.  A ball c + p^k Z_p has the p-ordering c + p^k j in closed form; a
-closed sequence {L} u {L + u p^(v+n) : n >= start} has the p-ordering L,
-then its elements in order (Bhargava, J. reine angew. Math. 490, 1997).
-By Bhargava's criterion the first deg f + 1 terms of a p-ordering decide a
-component, and its residues mod p^m bound it too: a ball has p^(m-k)
-of them, and a sequence element agrees with the limit mod p^m from the
-exponent m on.  Either bound alone is exact, and the check is finite even
-when the set has infinite components.  It also shows closure invariance:
-a polynomial is integer valued on S iff it is on the topological closure
-of S.
+Z/p^m.  A ball c + p^k Z_p has the p-ordering a_j = c + p^k j in closed
+form; a closed sequence {L} u {L + u p^(v+n) : n >= start} has the
+p-ordering L, then its elements in order (Bhargava, J. reine angew. Math.
+490, 1997).  Their Bhargava factorials nu_j = vp(prod_(i<j) (a_j - a_i))
+are closed forms too: k j + vp(j!) for the ball, j h + j(j - 1)/2 for the
+sequence, h = v + start.  Written in the basis prod_(i<j) (X - a_i)/p^nu_j,
+g/p^m has the j-th coefficient g[a_0, ..., a_j] p^(nu_j - m), and divided
+differences of an integer polynomial are p-integral: every coefficient
+with nu_j >= m is integral for free, and the values at the terms before
+the first such j decide the others through a unit triangular system.  So
+the first min(deg f + 1, J) terms decide a component, J the least j with
+nu_j >= m: at most ceil(m/k) in a ball of depth k >= 1 and at most
+ceil(sqrt(2m)) + 1 in a sequence.  The check is finite even when the set
+has infinite components, and it shows closure invariance: a polynomial is
+integer valued on S iff it is on the topological closure of S.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import InvariantError, PreconditionError, charge
-from .exact import INFINITY, Rat, Valuation, is_finite, rational_mod, vp
+from .exact import (INFINITY, Rat, Valuation, _int_vp, is_finite,
+                    rational_mod, vp)
 from .padic import PAdicSet, closure, member, some_elements
 from .polys import IrreduciblePoly, RatPoly, max_valuation
 
@@ -32,19 +38,36 @@ __all__ = [
 ]
 
 
+def _decisive_terms(m: int, degree: int, nu_step):
+    """The indices j of the leading terms of a component's p-ordering that
+    decide whether a polynomial of the given degree over p^m is integral
+    on it: j < min(degree + 1, J), J the least j with nu_j >= m, where
+    nu_0 = 0 and nu_step(j) = nu_j - nu_(j-1) for j >= 1.  Each nu_j is
+    computed only once the term before it has been read."""
+    j = nu = 0
+    while j <= degree and nu < m:
+        yield j
+        j += 1
+        nu += nu_step(j)
+
+
 def is_integer_valued(f: RatPoly, s: PAdicSet) -> bool:
     """Does f map every element of s into Z_p (p the set's prime)?
 
     True vacuously on the empty set.  With f = g/d and m = vp(d), f is
     integral at x iff g(x) = 0 mod p^m, so g's coefficients are reduced
     mod p^m once and every test point is one Horner pass in Z/p^m.  Each
-    component is read along its p-ordering up to its Polya bound:
-    - a ball of depth k at c + p^k j for j < min(deg f + 1, p^(m-k));
+    component is read along its p-ordering a_0, a_1, ... up to
+    min(deg f + 1, J), J the least j whose Bhargava factorial
+    nu_j = vp(prod_(i<j) (a_j - a_i)) is at least m:
+    - a ball c + p^k Z_p at c + p^k j, with nu_j = k j + vp(j!);
     - a point at itself;
-    - a sequence at its limit, then at its first min(deg f, m - head)
-      elements, head = valuation + start being the exponent of the first.
-    The first deg f + 1 terms of a p-ordering decide a component, and past
-    its residues mod p^m every term repeats one already checked.
+    - a sequence at its limit, then at its elements in order, the first
+      p^h from the limit (h = valuation + start), with nu_j = j h + j(j-1)/2.
+    In the basis prod_(i<j) (X - a_i)/p^nu_j, g/p^m has the coefficients
+    g[a_0, ..., a_j] p^(nu_j - m); divided differences of g are p-integral,
+    so those with nu_j >= m are integral, and the values at a_0, ...,
+    a_(J-1) decide the rest through a unit triangular system.
     """
     p = s.p
     m = vp(f.denominator, p)
@@ -64,8 +87,9 @@ def is_integer_valued(f: RatPoly, s: PAdicSet) -> bool:
 
     degree = f.degree
     for ball in s.balls:
-        x, step = ball.center % modulus, pow(p, ball.depth, modulus)
-        for _ in range(min(degree + 1, p ** max(m - ball.depth, 0))):
+        k = ball.depth
+        x, step = ball.center % modulus, pow(p, k, modulus)
+        for _ in _decisive_terms(m, degree, lambda j: k + _int_vp(j, p)):
             if not root(x):
                 return False
             x = (x + step) % modulus
@@ -73,15 +97,15 @@ def is_integer_valued(f: RatPoly, s: PAdicSet) -> bool:
         if not root(rational_mod(x, modulus)):
             return False
     for seq in s.seqs:
-        limit = rational_mod(seq.limit, modulus)
-        if not root(limit):
-            return False                # forces the whole stabilized tail
+        limit, h = rational_mod(seq.limit, modulus), seq.head
+        # a_0 = limit, then a_1, a_2, ... = limit + term with
         # term = unit * p^(valuation + n) mod p^m for n = start, start + 1, ...
-        term = rational_mod(seq.unit, modulus) * pow(p, seq.head, modulus)
-        term %= modulus
-        for _ in range(max(min(degree, m - seq.head), 0)):
-            if not root((limit + term) % modulus):
+        x = limit
+        term = rational_mod(seq.unit, modulus) * pow(p, h, modulus) % modulus
+        for _ in _decisive_terms(m, degree, lambda j: h + j - 1):
+            if not root(x):
                 return False
+            x = (limit + term) % modulus
             term = term * p % modulus
     return True
 

@@ -283,7 +283,8 @@ def test_resource_cap_exit_1(capsys):
     code, _, err = run(capsys, "--residue-cap", "2", "adele-diff",
                        "--intset", r"Z \ (1 mod 8)")
     assert code == 1 and "16 residue classes at prime 2" in err
-    # integer-valuedness evaluates deg f + 1 points and enumerates nothing
+    # integer-valuedness evaluates at most deg f + 1 points and enumerates
+    # nothing
     code, out, _ = run(capsys, "--residue-cap", "2", "intval",
                        "--poly", "(X^2 - X)/4", "--set", "full(2)")
     assert code == 0 and out.strip() == "no"
@@ -300,6 +301,15 @@ def test_unprintably_long_numbers_are_rejected_as_read(capsys):
     code, out, _ = run(capsys, "closure", "--set", "seq(2; 0, 1, 14000, +lim)")
     assert code == 0 and parse_set(out.strip()) == closure(
         parse_set("seq(2; 0, 1, 14000, +lim)"))
+    # a constant power has degree 0, so its height is held to the limit:
+    # 2^9999999999 and the denominator of (1/2)^99999999 are never formed
+    for text in ("2^9999999999", "(1/2)^99999999"):
+        code, out, err = run(capsys, "intval", "--poly", text, "--set", "full(2)")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "4300-digit limit" in err
+    code, out, _ = run(capsys, "intval", "--poly", "7^3000", "--set", "full(2)")
+    assert code == 0 and out == "yes\n"                 # 2,536 digits
 
 
 @pytest.mark.parametrize("argv", [

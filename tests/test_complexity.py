@@ -107,6 +107,29 @@ def _binomial(d: int) -> RatPoly:
     return f * RatPoly([1], math.factorial(d))
 
 
+def _bhargava_terms(component: PAdicSet, f: RatPoly) -> int:
+    """min(deg f + 1, J) for the one component of the set, J the least j
+    with nu_j >= m, from the closed forms of its Bhargava factorials:
+    nu_j = k j + vp(j!) for a ball of depth k, j h + j(j - 1)/2 for a
+    sequence whose first element lies p^h from its limit, and nu_1
+    infinite for a point."""
+    p, m = component.p, exact.vp(f.denominator, component.p)
+    if component.points:
+        return 1
+    if component.balls:
+        k = component.balls[0].depth
+
+        def nu(j):
+            return k * j + exact.vp(math.factorial(j), p)
+    else:
+        h = component.seqs[0].head
+
+        def nu(j):
+            return j * h + j * (j - 1) // 2
+    return next((j for j in range(f.degree + 1) if nu(j) >= m),
+                f.degree + 1)
+
+
 @pytest.mark.parametrize("component", [
     PAdicSet(2, balls=[Ball(2, 0, 0)]),
     PAdicSet(2, balls=[Ball(2, 1, 3)]),
@@ -116,8 +139,9 @@ def _binomial(d: int) -> RatPoly:
 ])
 def test_integer_valuedness_evaluates_each_component_deg_plus_1_times(
         component):
-    # "an integer-valuedness check evaluates f at most deg f + 1 times per
-    # ball or sequence": count the calls of is_integer_valued's root test
+    # "an integer-valuedness check evaluates f at most min(deg f + 1, J)
+    # times per ball or sequence": count the calls of is_integer_valued's
+    # root test against deg f + 1 and against the Bhargava bound
     evaluations = []
 
     def profile(frame, event, arg):
@@ -134,8 +158,11 @@ def test_integer_valuedness_evaluates_each_component_deg_plus_1_times(
         finally:
             sys.setprofile(None)
         assert answer and len(evaluations) <= d + 1, d
+        assert len(evaluations) <= _bhargava_terms(component, f), d
     if component.balls == (Ball(2, 0, 0),):
-        assert len(evaluations) == 17       # the Polya bound is reached
+        # C(X, 16) over 2^15: nu_16(Z_2) = vp(16!) = 15 = m, so 16 points
+        # decide where deg f + 1 = 17 would be read
+        assert len(evaluations) == 16
 
 
 @given(st.data())

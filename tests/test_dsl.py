@@ -257,6 +257,7 @@ def test_parse_irreducible():
 def test_parse_intset_frozen():
     e = parse_intset(r"Z \ (65 mod 72)")
     assert e == IntegerSet.without_classes(Congruence(65, 72))
+    assert parse_intset(r"Z\(65 mod 72)") == e          # no space needed
     assert parse_intset("{2, 3, 5}") == IntegerSet(base=(2, 3, 5))
     assert parse_intset(r"Z \ (65 mod 72) U {9}") == IntegerSet(
         excluded=(Congruence(65, 72),), extra=(9,))

@@ -42,24 +42,27 @@ def P(*coeffs):
 def test_integer_valued_matches_oracle(data):
     # coefficients up to 2^256 at degree up to 8 against p^m <= 2^12 (the
     # strategy's extra factor 2 or 3 included): the deg f + 1 bound decides
-    # some draws and the p^m residues others, in balls and in sequences
+    # some draws and the Bhargava bound J others, in balls and in sequences
     p = data.draw(primes)
     top = max(e for e in range(12) if p ** (e + 1) <= 2 ** 12)
     s = data.draw(padic_sets(p=p, max_start=6))
     f = data.draw(rational_polys(p=p, max_degree=8, coeff_bound=2 ** 256,
                                  max_exponent=top))
     assert is_integer_valued(f, s) == brute_int_valued(f, s)
-    # the border between yes and no: a product over the first terms of one
-    # component's p-ordering, over the largest power of p (up to p^top)
-    # that the oracle finds integral on s, and over one more
-    orderings = ([[b.center + p ** b.depth * j for j in range(9)]
-                  for b in s.balls]
-                 + [[q.limit] + [q.element(q.start + i) for i in range(8)]
-                    for q in s.seqs])
+    # the border between yes and no: a product over the first t terms of
+    # one component's p-ordering, over the largest power of p (up to p^top)
+    # that the oracle finds integral on s, and over one more.  On that
+    # component the border sits at nu_t, where J = t + 1 cuts the check;
+    # balls of depth up to 4 and sequences with head up to 4 keep nu_t
+    # under p^top for some of the up to 17 terms
+    orderings = ([[b.center + p ** b.depth * j for j in range(17)]
+                  for b in s.balls if b.depth <= 4]
+                 + [[q.limit] + [q.element(q.start + i) for i in range(16)]
+                    for q in s.seqs if q.head <= 4])
     if orderings:
         terms = data.draw(st.sampled_from(orderings))
         product = RatPoly.constant(1)
-        for a in terms[:data.draw(st.integers(1, 9))]:
+        for a in terms[:data.draw(st.integers(1, 17))]:
             product = product * P(-a, 1)
 
         def over(k):
@@ -88,8 +91,9 @@ def test_integer_valued_frozen_cases():
     assert is_integer_valued(half_norm, odd)                # x odd: x^2+1 even
     quarter = P(Fraction(1, 4), 0, Fraction(1, 4))          # (X^2 + 1)/4
     assert not is_integer_valued(quarter, odd)              # x^2+1 = 2 mod 4
-    # X(X - 1)(X - 2)(X - 4)/4: the 4 residues mod 4 decide before the
-    # deg f + 1 = 5 Polya points, and only the last one, 3, fails
+    # X(X - 1)(X - 2)(X - 4)/4: the points 0, 1, 2, 3 decide before the
+    # deg f + 1 = 5 Polya points, as nu_4(Z_2) = vp(4!) = 3 >= 2, and only
+    # the last one, 3, fails
     last_residue = P(0, -1, 1) * P(-2, 1) * P(-4, 1) * Fraction(1, 4)
     assert not is_integer_valued(last_residue, full_set(2))
 
